@@ -1,26 +1,24 @@
 // Distributed DPD demo and the scale-smoke equivalence check: the same
 // quickstart-scale channel is stepped once on a single rank and once
 // decomposed over N xmp ranks (src/dpd/exchange/), and the two trajectory
-// digests are compared. Under HaloMode::Symmetric they must be *bitwise*
-// equal — any divergence is an exchange bug, and the binary exits non-zero
-// so CI catches it. Runs under both XMP_SCHED modes (CI pins fibers).
+// digests are compared. They must be *bitwise* equal — any divergence is an
+// exchange bug, and the binary exits non-zero so CI catches it. Runs under
+// both XMP_SCHED modes (CI pins fibers).
 //
 // Build & run:  cmake --build build && ./build/examples/dpd_decomposed
 //
 // Flags:
 //   --ranks N   decomposed rank count (default 4)
 //   --steps N   DPD steps (default 50)
-//   --overlap   overlap the halo refresh with interior pair computation
-//               (DistOptions::overlap); the digest gate is unchanged —
-//               the overlapped path is bitwise trajectory-neutral
+// Unknown flags and flags missing their value exit with code 2.
 
 #include <cstdio>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 
 #include "dpd/exchange/distributed.hpp"
 #include "dpd/system.hpp"
+#include "scenario/flags.hpp"
 #include "xmp/comm.hpp"
 
 namespace {
@@ -40,16 +38,13 @@ std::shared_ptr<dpd::DpdSystem> make_system() {
 int main(int argc, char** argv) {
   int ranks = 4;
   int steps = 50;
-  bool overlap = false;
-  for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--ranks") && i + 1 < argc) ranks = std::atoi(argv[++i]);
-    if (!std::strcmp(argv[i], "--steps") && i + 1 < argc) steps = std::atoi(argv[++i]);
-    if (!std::strcmp(argv[i], "--overlap")) overlap = true;
-  }
+  scenario::Flags flags("dpd_decomposed");
+  flags.add_int("--ranks", &ranks, "decomposed rank count (default 4)");
+  flags.add_int("--steps", &steps, "DPD steps (default 50)");
+  if (!flags.parse(argc, argv)) return 2;
 
   auto single = make_system();
-  std::printf("dpd_decomposed: n=%zu steps=%d ranks=%d overlap=%s\n", single->size(), steps,
-              ranks, overlap ? "on" : "off");
+  std::printf("dpd_decomposed: n=%zu steps=%d ranks=%d\n", single->size(), steps, ranks);
   for (int s = 0; s < steps; ++s) single->step();
   const std::uint64_t ref = dpd::exchange::trajectory_digest(*single);
   std::printf("single-rank digest:  %016llx\n", static_cast<unsigned long long>(ref));
@@ -57,9 +52,7 @@ int main(int argc, char** argv) {
   std::uint64_t dist = 0;
   xmp::run(ranks, [&](xmp::Comm& world) {
     auto sys = make_system();
-    dpd::exchange::DistOptions opt;
-    opt.overlap = overlap;
-    dpd::exchange::DistributedDpd drv(world, *sys, opt);
+    dpd::exchange::DistributedDpd drv(world, *sys);
     drv.distribute();
     for (int s = 0; s < steps; ++s) sys->step();
     const std::uint64_t d = drv.global_digest();

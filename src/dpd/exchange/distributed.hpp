@@ -9,22 +9,16 @@
 //               (MigrationExchanger), the halo is rebuilt from whole records
 //               (HaloExchanger::build) and the local arrays are re-laid out
 //               sorted by gid.
-//   after_pairs() [HaloMode::ReverseOnce only]: ship ghost-accumulated pair
-//               forces home (HaloExchanger::reverse).
 //
 // Equivalence guarantee (the tentpole gate, pinned in
-// tests/dpd_exchange_test.cpp and docs/PERF.md): under HaloMode::Symmetric
-// every cross-boundary pair is computed on both ranks (compute-twice, ghost
-// rows discarded), local arrays are kept sorted by gid with a complete
-// rc+skin halo, and the engine's canonical CSR pair order plus gid-keyed
-// pair RNG then reproduce the single-rank per-particle floating-point
-// accumulation order exactly — N-rank trajectories are bitwise equal to the
-// single-rank run, independent of rebuild cadence. HaloMode::ReverseOnce
-// computes each cross-boundary pair once (on the owner of the lower gid)
-// and reverse-ships the other half; the changed accumulation order leaves
-// O(1 ulp) differences, pinned by tolerance instead.
+// tests/dpd_exchange_test.cpp and docs/PERF.md): every cross-boundary pair
+// is computed on both ranks (compute-twice, ghost rows discarded), local
+// arrays are kept sorted by gid with a complete rc+skin halo, and the
+// engine's canonical CSR pair order plus gid-keyed pair RNG then reproduce
+// the single-rank per-particle floating-point accumulation order exactly —
+// N-rank trajectories are bitwise equal to the single-rank run, independent
+// of rebuild cadence.
 
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -36,24 +30,12 @@
 
 namespace dpd::exchange {
 
-enum class HaloMode : std::uint8_t {
-  Symmetric,    ///< cross-boundary pairs computed on both ranks; bitwise-equal
-  ReverseOnce,  ///< computed once, forces reverse-shipped; tolerance-equal
-};
-
 struct DistOptions {
   GridDims dims{};  ///< process grid; default (count()==0) auto-factors
-  HaloMode mode = HaloMode::Symmetric;
   /// Ghost shell thickness; 0 means rc + skin (the pair-completeness
   /// minimum). Raise to max module cutoff + skin when a force module
   /// (platelet adhesion, long bonds) reaches beyond rc.
   double halo_width = 0.0;
-  /// Overlap halo communication with interior pair computation: the fast
-  /// path posts nonblocking lanes (HaloExchanger::begin_update) and the
-  /// engine computes interior neighbor-list rows while they fly, completing
-  /// the exchange only before the boundary rows. Bitwise-neutral under
-  /// either HaloMode (see docs/PERF.md "Overlapped halos").
-  bool overlap = false;
   /// When > 0, every Nth refresh measures owned-count imbalance and — above
   /// rebalance_threshold — shifts the decomposition's cut planes toward
   /// equal counts (Decomposition::rebalance) followed by a full rebuild.
@@ -82,9 +64,6 @@ public:
   void distribute();
 
   void refresh(DpdSystem& sys) override;
-  bool overlap_pending() const override { return overlap_pending_; }
-  void finish_refresh(DpdSystem& sys) override;
-  void after_pairs(DpdSystem& sys) override;
 
   /// Measure owned-count imbalance (max/mean over ranks, allreduced) and,
   /// above options().rebalance_threshold, move the decomposition's cut
@@ -101,8 +80,7 @@ public:
   /// (empty on other ranks). Collective.
   std::vector<ParticleRecord> gather(int root = 0) const;
   /// trajectory_digest of the whole distributed population — equal on every
-  /// rank, and equal to the single-rank digest under HaloMode::Symmetric.
-  /// Collective.
+  /// rank, and equal to the single-rank digest. Collective.
   std::uint64_t global_digest() const;
 
   // --- collective diagnostics over owned particles ---
@@ -115,7 +93,7 @@ public:
   /// of Bound platelets. Collective.
   void sync_platelets(PlateletModel& model);
 
-  /// Checkpoint the driver: decomposition layout + halo mode (validated on
+  /// Checkpoint the driver: decomposition layout + halo width (validated on
   /// load) and the current cut planes (restored, so a post-rebalance restart
   /// migrates under the decomposition that actually owns the particles) —
   /// plans and displacement references are rebuilt, so load forces a full
@@ -134,7 +112,7 @@ private:
   xmp::Comm comm_;
   // analyze: no-checkpoint (borrowed engine; checkpoints separately)
   DpdSystem& sys_;
-  DistOptions opt_;  ///< layout + mode; serialised for restart validation
+  DistOptions opt_;  ///< layout + halo width; serialised for restart validation
   Decomposition decomp_;  ///< geometry from opt_; moved cut planes serialised
   // analyze: no-checkpoint (stateless protocol object)
   MigrationExchanger migrate_;
@@ -145,10 +123,6 @@ private:
   bool rebuild_pending_ = false;
   // analyze: no-checkpoint (displacement reference, recaptured at every rebuild)
   std::vector<Vec3> ref_pos_;
-  // analyze: no-checkpoint (in-flight overlap state never spans a checkpoint)
-  bool overlap_pending_ = false;
-  // analyze: no-checkpoint (telemetry timestamp for dpd.halo.overlap_us)
-  std::chrono::steady_clock::time_point overlap_t0_{};
   // analyze: no-checkpoint (replicated cadence counter; restart restarts it identically everywhere)
   std::uint64_t refresh_count_ = 0;
 };

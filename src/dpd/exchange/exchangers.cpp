@@ -16,8 +16,6 @@ telemetry::TagClasses comm_tag_classes() {
   c.add(kTagMigrate, "dpd.migrate");
   c.add(kTagHaloBuild, "dpd.halo.build");
   c.add(kTagHaloUpdate, "dpd.halo.update");
-  c.add(kTagReverse, "dpd.reverse");
-  c.add(kTagHaloAsync, "dpd.halo.async");
   return c;
 }
 
@@ -137,57 +135,6 @@ void HaloExchanger::update(DpdSystem& sys) {
   }
   telemetry::count("dpd.halo.particles", static_cast<double>(shipped));
   telemetry::count("dpd.halo.bytes", static_cast<double>(bytes));
-}
-
-void HaloExchanger::begin_update(DpdSystem& sys) {
-  const auto& nbrs = decomp_->neighbors(comm_.rank());
-  if (!send_pending_.empty() || !recv_pending_.empty())
-    throw std::logic_error("exchange: begin_update while a halo update is already in flight");
-  std::size_t shipped = 0, bytes = 0;
-  recv_pending_.reserve(nbrs.size());
-  send_pending_.reserve(nbrs.size());
-  for (std::size_t k = 0; k < nbrs.size(); ++k)
-    recv_pending_.push_back(comm_.irecv_bytes(nbrs[k], kTagHaloAsync));
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    pack_posvel(sys.positions(), sys.velocities(), send_[k], pack_buf_);
-    send_pending_.push_back(comm_.isend_bytes(nbrs[k], kTagHaloAsync, pack_buf_.data(),
-                                              pack_buf_.size() * sizeof(double)));
-    shipped += send_[k].size();
-    bytes += pack_buf_.size() * sizeof(double);
-  }
-  telemetry::count("dpd.halo.particles", static_cast<double>(shipped));
-  telemetry::count("dpd.halo.bytes", static_cast<double>(bytes));
-}
-
-void HaloExchanger::finish_update(DpdSystem& sys) {
-  const auto& nbrs = decomp_->neighbors(comm_.rank());
-  if (recv_pending_.size() != nbrs.size())
-    throw std::logic_error("exchange: finish_update without a matching begin_update");
-  for (auto& p : send_pending_) p.wait();
-  send_pending_.clear();
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    recv_into(recv_pending_[k].wait(), recv_buf_);
-    unpack_posvel(sys.positions(), sys.velocities(), recv_[k], recv_buf_);
-  }
-  recv_pending_.clear();
-}
-
-void HaloExchanger::reverse(DpdSystem& sys) {
-  const auto& nbrs = decomp_->neighbors(comm_.rank());
-  std::size_t bytes = 0;
-  // ghosts on this rank came from nbrs[k]; their accumulated pair forces go
-  // home along the recv plan and land additively on the owner's send plan
-  // (same particles, same order, by construction in build())
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    pack_lanes(sys.forces(), recv_[k], pack_buf_);
-    comm_.send(nbrs[k], kTagReverse, pack_buf_);
-    bytes += pack_buf_.size() * sizeof(double);
-  }
-  for (std::size_t k = 0; k < nbrs.size(); ++k) {
-    recv_into(comm_.recv_bytes(nbrs[k], kTagReverse), recv_buf_);
-    accumulate_lanes(sys.forces(), send_[k], recv_buf_);
-  }
-  telemetry::count("dpd.reverse.bytes", static_cast<double>(bytes));
 }
 
 }  // namespace dpd::exchange

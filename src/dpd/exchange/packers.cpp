@@ -40,29 +40,4 @@ void unpack_posvel(SoA3& a, SoA3& b, const std::vector<std::uint32_t>& idx,
   }
 }
 
-void pack_lanes(const SoA3& a, const std::vector<std::uint32_t>& idx, std::vector<double>& out) {
-  const std::size_t n = idx.size();
-  out.resize(3 * n);
-  double* w = out.data();
-  const std::vector<double>* lanes[3] = {&a.xs(), &a.ys(), &a.zs()};
-  for (const auto* lane : lanes) {
-    const double* src = lane->data();
-    for (std::size_t k = 0; k < n; ++k) w[k] = src[idx[k]];
-    w += n;
-  }
-}
-
-void accumulate_lanes(SoA3& a, const std::vector<std::uint32_t>& idx,
-                      const std::vector<double>& in) {
-  const std::size_t n = idx.size();
-  check_size(in.size(), 3 * n, "reverse exchange");
-  const double* r = in.data();
-  std::vector<double>* lanes[3] = {&a.xs(), &a.ys(), &a.zs()};
-  for (auto* lane : lanes) {
-    double* dst = lane->data();
-    for (std::size_t k = 0; k < n; ++k) dst[idx[k]] += r[k];
-    r += n;
-  }
-}
-
 }  // namespace dpd::exchange

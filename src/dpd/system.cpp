@@ -234,17 +234,13 @@ void DpdSystem::build_cells() {
 }
 
 void DpdSystem::pair_row(std::size_t i, std::size_t lo, std::size_t m, double inv_rc,
-                         double inv_sqrt_dt, double* r2_out, double* fx_out, double* fy_out,
-                         double* fz_out) {
+                         double inv_sqrt_dt) {
   // Gather particle i's neighbor run into flat lanes (minimum-image
   // separation, relative velocity, counter-based noise, hoisted
-  // coefficients) and hand it to the SIMD kernel. The input lanes live in
-  // batch_ (the caller must have called batch_.resize(m)); r2 and the
-  // kernel's per-pair forces go through the out pointers so the monolithic
-  // pass can target batch_ while the overlapped pass stages them at the
-  // row's CSR offset. The noise is keyed on *global* IDs, so a pair's
-  // random stream is invariant to index compaction and to which rank
-  // computes it.
+  // coefficients) and hand it to the SIMD kernel. Inputs and per-pair
+  // outputs live in batch_ (the caller must have called batch_.resize(m)).
+  // The noise is keyed on *global* IDs, so a pair's random stream is
+  // invariant to index compaction and to which rank computes it.
   const auto& nbr = nlist_.neighbors();
   const double* px = pos_.xs().data();
   const double* py = pos_.ys().data();
@@ -278,7 +274,7 @@ void DpdSystem::pair_row(std::size_t i, std::size_t lo, std::size_t m, double in
     b.dx[k] = dx;
     b.dy[k] = dy;
     b.dz[k] = dz;
-    r2_out[k] = dx * dx + dy * dy + dz * dz;
+    b.r2[k] = dx * dx + dy * dy + dz * dz;
     b.dvx[k] = ux[j] - uxi;
     b.dvy[k] = uy[j] - uyi;
     b.dvz[k] = uz[j] - uzi;
@@ -290,9 +286,10 @@ void DpdSystem::pair_row(std::size_t i, std::size_t lo, std::size_t m, double in
   }
   // f = (dx,dy,dz) fmag / r is the force on j; i receives -f (the kernel
   // header documents the lane math; out-of-range lanes are discarded).
-  la::simd::dpd_pair_forces(m, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(), r2_out,
-                            b.dvx.data(), b.dvy.data(), b.dvz.data(), b.zeta.data(), b.a.data(),
-                            b.g.data(), b.sig.data(), fx_out, fy_out, fz_out);
+  la::simd::dpd_pair_forces(m, inv_rc, inv_sqrt_dt, b.dx.data(), b.dy.data(), b.dz.data(),
+                            b.r2.data(), b.dvx.data(), b.dvy.data(), b.dvz.data(),
+                            b.zeta.data(), b.a.data(), b.g.data(), b.sig.data(), b.fx.data(),
+                            b.fy.data(), b.fz.data());
 }
 
 void DpdSystem::pair_forces() {
@@ -301,10 +298,6 @@ void DpdSystem::pair_forces() {
   // Skipping out-of-range lanes entirely — rather than zeroing them — keeps
   // the floating-point accumulation order a function of the particle state
   // alone, independent of when the list was built (bitwise restarts).
-  if (exchange_ && exchange_->overlap_pending()) {
-    pair_forces_overlapped();
-    return;
-  }
   ensure_neighbors();
   const double rc2 = prm_.rc * prm_.rc;
   const double inv_rc = 1.0 / prm_.rc;
@@ -321,7 +314,7 @@ void DpdSystem::pair_forces() {
     const std::size_t m = hi - lo;
     if (m == 0) continue;
     b.resize(m);
-    pair_row(i, lo, m, inv_rc, inv_sqrt_dt, b.r2.data(), b.fx.data(), b.fy.data(), b.fz.data());
+    pair_row(i, lo, m, inv_rc, inv_sqrt_dt);
     for (std::size_t k = 0; k < m; ++k) {
       if (b.r2[k] >= rc2 || b.r2[k] <= 1e-20) continue;
       const std::size_t j = nbr[lo + k];
@@ -335,105 +328,11 @@ void DpdSystem::pair_forces() {
   }
 }
 
-void DpdSystem::classify_rows() {
-  // A CSR row is *interior* when neither i nor any neighbor in its run is a
-  // ghost: every lane then reads only owned (locally integrated, always
-  // fresh) pos/vel, so the row can be computed while a split-phase halo
-  // update is still in flight. The classification only depends on the list
-  // topology and the ghost mask — both fixed between rebuilds — so it is
-  // cached against nlist_.rebuilds().
-  const auto& offs = nlist_.offsets();
-  const auto& nbr = nlist_.neighbors();
-  const std::size_t n = pos_.size();
-  row_interior_.assign(n, 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (is_ghost_[i]) {
-      row_interior_[i] = 0;
-      continue;
-    }
-    for (std::size_t k = offs[i]; k < offs[i + 1]; ++k)
-      if (is_ghost_[nbr[k]]) {
-        row_interior_[i] = 0;
-        break;
-      }
-  }
-  row_class_rebuilds_ = nlist_.rebuilds();
-}
-
-void DpdSystem::pair_forces_overlapped() {
-  // Split-phase pair pass (comm/compute overlap): interior rows are
-  // gathered and run through the kernel while the halo lanes are in flight,
-  // the exchange is completed, then the boundary rows run against the fresh
-  // ghost pos/vel. Per-pair kernel outputs are *staged* at each row's CSR
-  // offset and scattered afterwards in one replay over rows i = 0..n-1 —
-  // exactly the monolithic pass's accumulation order — so the computed
-  // forces, and hence the trajectory, are bitwise identical to the
-  // non-overlapped run (docs/PERF.md "Overlapped halos").
-  ensure_neighbors();
-  if (row_class_rebuilds_ != nlist_.rebuilds() || row_interior_.size() != pos_.size())
-    classify_rows();
-  const double rc2 = prm_.rc * prm_.rc;
-  const double inv_rc = 1.0 / prm_.rc;
-  const double inv_sqrt_dt = 1.0 / std::sqrt(prm_.dt);
-  const auto& offs = nlist_.offsets();
-  const auto& nbr = nlist_.neighbors();
-  const std::size_t n = pos_.size();
-  const std::size_t total = nlist_.pair_count();
-  stage_.r2.resize(total);
-  stage_.fx.resize(total);
-  stage_.fy.resize(total);
-  stage_.fz.resize(total);
-  std::size_t interior_rows = 0, boundary_rows = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t lo = offs[i], m = offs[i + 1] - lo;
-    if (m == 0) continue;
-    if (!row_interior_[i]) {
-      ++boundary_rows;
-      continue;
-    }
-    ++interior_rows;
-    batch_.resize(m);
-    pair_row(i, lo, m, inv_rc, inv_sqrt_dt, stage_.r2.data() + lo, stage_.fx.data() + lo,
-             stage_.fy.data() + lo, stage_.fz.data() + lo);
-  }
-  // complete the in-flight halo update; ghost slots are fresh from here on
-  exchange_->finish_refresh(*this);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (row_interior_[i]) continue;
-    const std::size_t lo = offs[i], m = offs[i + 1] - lo;
-    if (m == 0) continue;
-    batch_.resize(m);
-    pair_row(i, lo, m, inv_rc, inv_sqrt_dt, stage_.r2.data() + lo, stage_.fx.data() + lo,
-             stage_.fy.data() + lo, stage_.fz.data() + lo);
-  }
-  double* gx = frc_.xs().data();
-  double* gy = frc_.ys().data();
-  double* gz = frc_.zs().data();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t k = offs[i]; k < offs[i + 1]; ++k) {
-      if (stage_.r2[k] >= rc2 || stage_.r2[k] <= 1e-20) continue;
-      const std::size_t j = nbr[k];
-      gx[i] -= stage_.fx[k];
-      gy[i] -= stage_.fy[k];
-      gz[i] -= stage_.fz[k];
-      gx[j] += stage_.fx[k];
-      gy[j] += stage_.fy[k];
-      gz[j] += stage_.fz[k];
-    }
-  }
-  telemetry::count("dpd.rows.interior", static_cast<double>(interior_rows));
-  telemetry::count("dpd.rows.boundary", static_cast<double>(boundary_rows));
-}
-
 void DpdSystem::compute_forces() {
   telemetry::ScopedPhase phase("dpd.forces");
   const std::size_t n = pos_.size();
   frc_.assign(n, {});
   pair_forces();
-  // Reverse-exchange seam: frc_ holds only pair contributions here, so a
-  // driver in owned-lower-only mode can ship ghost accumulations to their
-  // owners without double-counting the per-particle terms below.
-  if (exchange_) exchange_->after_pairs(*this);
   // effective wall boundary force: normal repulsion + dissipative friction
   // + the fluctuation-dissipation-matched random kicks (a particle wall
   // would deliver both; omitting the random part cools the near-wall fluid)

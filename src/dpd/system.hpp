@@ -56,22 +56,11 @@ public:
 /// Domain-decomposition seam (implemented by exchange::DistributedDpd).
 /// step() calls refresh() immediately before every force evaluation so the
 /// driver can migrate owners, rebuild halos, and push current ghost
-/// positions/velocities; compute_forces() calls after_pairs() right after
-/// the pair loop — while the force array holds *only* pair contributions —
-/// so the reverse-exchange mode can ship ghost-accumulated forces home.
+/// positions/velocities.
 class ExchangeHook {
 public:
   virtual ~ExchangeHook() = default;
   virtual void refresh(DpdSystem& sys) = 0;
-  /// True when refresh() left a split-phase ghost update in flight: ghost
-  /// slots still hold stale pos/vel, and the engine must compute only
-  /// interior (owned-only) neighbor rows until finish_refresh() completes
-  /// the exchange. Drives DpdSystem's overlapped pair pass.
-  virtual bool overlap_pending() const { return false; }
-  /// Complete an in-flight split-phase refresh (no-op otherwise). Called by
-  /// the engine between its interior and boundary row passes.
-  virtual void finish_refresh(DpdSystem& sys) { (void)sys; }
-  virtual void after_pairs(DpdSystem& sys) { (void)sys; }
 };
 
 /// Flat particle record used by the exchange layer to (re)build a rank's
@@ -171,8 +160,8 @@ public:
   bool distributed() const { return exchange_ != nullptr; }
   /// Enable/disable the neighbor-list ghost pair filter (see
   /// NeighborList::set_pair_filter); the mask is this system's ghost mask.
-  void set_ghost_pair_filter(bool enabled, bool owned_lower_only = false) {
-    nlist_.set_pair_filter(enabled ? &is_ghost_ : nullptr, owned_lower_only);
+  void set_ghost_pair_filter(bool enabled) {
+    nlist_.set_pair_filter(enabled ? &is_ghost_ : nullptr);
   }
 
   /// Snapshot one particle into the flat exchange record format.
@@ -329,20 +318,11 @@ private:
   void wrap(Vec3& p) const;
   void reflect_walls(std::size_t i);
   void pair_forces();
-  /// Gather + SIMD kernel for one CSR neighbor row: fills r2/fx/fy/fz for
-  /// the run [lo, lo+m) without touching frc_ (the caller scatters). Both
-  /// pair passes share this so their per-pair arithmetic is identical.
-  void pair_row(std::size_t i, std::size_t lo, std::size_t m, double inv_rc, double inv_sqrt_dt,
-                double* r2_out, double* fx_out, double* fy_out, double* fz_out);
-  /// Split-phase pair pass driving ExchangeHook::finish_refresh: interior
-  /// rows (owned-only runs) compute into staged lanes while the halo lanes
-  /// fly, boundary rows after completion, then one scatter replay in
-  /// canonical CSR row order keeps the accumulation order — and hence the
-  /// trajectory — bitwise equal to the monolithic pass.
-  void pair_forces_overlapped();
-  /// Mark rows whose full neighbor run touches only owned particles
-  /// (cached per neighbor-list rebuild).
-  void classify_rows();
+  /// Gather + SIMD kernel for one CSR neighbor row: fills batch_'s
+  /// r2/fx/fy/fz for the run [lo, lo+m) without touching frc_ (the caller
+  /// scatters).
+  void pair_row(std::size_t i, std::size_t lo, std::size_t m, double inv_rc,
+                double inv_sqrt_dt);
   void rebuild_gid_map();
 
   static constexpr int kHalfStencil[13][3] = {{1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},
@@ -399,19 +379,6 @@ private:
   };
   // analyze: no-checkpoint (pair-loop scratch, dead between force passes)
   PairBatch batch_;
-
-  // Overlapped pair pass state: which CSR rows touch only owned particles
-  // (cached per neighbor-list rebuild) and the staged per-pair kernel
-  // outputs that the canonical-order scatter replay consumes.
-  // analyze: no-checkpoint (derived from the neighbor list, reclassified per rebuild)
-  std::vector<char> row_interior_;
-  // analyze: no-checkpoint (cache key: nlist_.rebuilds() at classification time)
-  std::uint64_t row_class_rebuilds_ = ~std::uint64_t{0};
-  struct PairStage {
-    std::vector<double> r2, fx, fy, fz;
-  };
-  // analyze: no-checkpoint (overlap staging scratch, dead between force passes)
-  PairStage stage_;
 
   std::uint64_t step_ = 0;
   std::mt19937 rng_{0xD1CEu};

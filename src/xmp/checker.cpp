@@ -147,52 +147,6 @@ void Checker::unblock(const Group& g, int me_local) {
   s.op.grp.reset();
 }
 
-// ---- nonblocking-p2p handle hygiene ----------------------------------------
-
-std::uint64_t Checker::register_pending(const Group& g, int me_local, int peer_local, int tag,
-                                        bool is_send) {
-  std::ostringstream os;
-  os << "comm " << g.name() << ": " << (is_send ? "isend(dst=" : "irecv(src=");
-  if (!is_send && peer_local == kAnySource) os << "any";
-  else os << world_of(g, peer_local);
-  os << ", tag=";
-  if (tag == kAnyTag) os << "any";
-  else os << tag;
-  os << ") held by world rank " << world_of(g, me_local);
-  std::lock_guard lk(pend_mu_);
-  const std::uint64_t id = next_pending_++;
-  pending_.emplace(id, os.str());
-  return id;
-}
-
-void Checker::complete_pending(std::uint64_t id) {
-  std::lock_guard lk(pend_mu_);
-  pending_.erase(id);
-}
-
-void Checker::report_leaked_pending() {
-  if (opts_.leftovers == LeftoverPolicy::Off) return;
-  std::size_t count = 0;
-  std::ostringstream os;
-  {
-    std::lock_guard lk(pend_mu_);
-    count = pending_.size();
-    for (const auto& [id, desc] : pending_) {
-      (void)id;
-      os << "\n  " << desc;
-    }
-  }
-  if (count == 0) return;
-  const std::string msg =
-      "xmp checked: " + std::to_string(count) +
-      " leaked pending handle(s) never completed by wait()/test():" + os.str();
-  if (opts_.leftovers == LeftoverPolicy::Warn) {
-    std::fprintf(stderr, "%s\n", msg.c_str());
-    return;
-  }
-  throw CheckError(msg);
-}
-
 BlockedOp Checker::snapshot_slot(int world) const {
   const Slot& s = slots_[static_cast<std::size_t>(world)];
   std::lock_guard lk(s.mu);

@@ -5,7 +5,6 @@
 // deadlock cycles and stalls. Internal header.
 
 #include <condition_variable>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -58,17 +57,6 @@ public:
                         std::size_t bytes);
   void unblock(const Group& g, int me_local);
 
-  // -- nonblocking-p2p handle hygiene ----------------------------------------
-  /// Registers a live Pending handle; returns the registry ticket that
-  /// complete_pending retires. peer_local may be kAnySource for receives.
-  std::uint64_t register_pending(const Group& g, int me_local, int peer_local, int tag,
-                                 bool is_send);
-  void complete_pending(std::uint64_t id);
-  /// Reports Pending handles never completed by wait()/test(); same
-  /// LeftoverPolicy handling as report_leftovers. Call after all rank
-  /// threads joined, on the clean-run path.
-  void report_leaked_pending();
-
   // -- watchdog / run end ----------------------------------------------------
   void start_watchdog();
   void stop_watchdog();
@@ -108,11 +96,6 @@ private:
 
   std::mutex groups_mu_;
   std::vector<std::shared_ptr<Group>> retained_;
-
-  // live Pending handles, by registry ticket -> diagnostic description
-  std::mutex pend_mu_;
-  std::uint64_t next_pending_ = 1;
-  std::map<std::uint64_t, std::string> pending_;
 
   // candidate deadlock cycle awaiting confirmation on the next poll
   std::vector<std::pair<int, std::uint64_t>> candidate_;  // (world rank, wait_gen)

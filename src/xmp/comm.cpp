@@ -224,164 +224,6 @@ std::vector<std::uint8_t> Comm::recv_bytes(int src, int tag, int* out_src, int* 
   return group_->recv(rank_, src, tag, out_src, out_tag);
 }
 
-// ---- nonblocking p2p --------------------------------------------------------
-
-namespace {
-
-/// Retire a handle in the checked-mode leak registry (idempotent).
-void retire_pending(detail::PendingState& st) {
-#ifdef XMP_CHECKED
-  if (st.check_id != 0) {
-    if (auto* ck = st.grp->rs->checker.get()) ck->complete_pending(st.check_id);
-    st.check_id = 0;
-  }
-#else
-  (void)st;
-#endif
-}
-
-}  // namespace
-
-Pending Comm::isend_bytes(int dst, int tag, const void* data, std::size_t bytes) const {
-  if (!group_) throw std::logic_error("xmp: invalid comm");
-  // The eager transport delivers inside send(); the handle is born complete
-  // and only exists so completion stays symmetric with irecv_bytes (and so
-  // checked mode can flag callers who drop it without wait()/test()).
-  group_->send(rank_, dst, tag, data, bytes);
-  auto st = std::make_shared<detail::PendingState>();
-  st->grp = group_;
-  st->me = rank_;
-  st->peer = dst;
-  st->tag = tag;
-  st->is_send = true;
-  st->matched = true;
-#ifdef XMP_CHECKED
-  if (group_->rs->checker)
-    st->check_id = group_->rs->checker->register_pending(*group_, rank_, dst, tag, true);
-#endif
-  return Pending(std::move(st));
-}
-
-Pending Comm::irecv_bytes(int src, int tag) const {
-  if (!group_) throw std::logic_error("xmp: invalid comm");
-#ifdef XMP_CHECKED
-  if (group_->rs->checker) group_->rs->checker->check_affinity(*group_, rank_, "irecv");
-#endif
-  if (src != kAnySource && (src < 0 || src >= size()))
-    throw std::out_of_range("xmp: irecv src " + std::to_string(src) +
-                            " out of range for comm of size " + std::to_string(size()) +
-                            " (tag " + std::to_string(tag) + ")");
-  group_->check_abort();
-  auto st = std::make_shared<detail::PendingState>();
-  st->grp = group_;
-  st->me = rank_;
-  st->peer = src;
-  st->tag = tag;
-#ifdef XMP_CHECKED
-  if (group_->rs->checker)
-    st->check_id = group_->rs->checker->register_pending(*group_, rank_, src, tag, false);
-#endif
-  return Pending(std::move(st));
-}
-
-std::vector<std::uint8_t> Pending::wait(int* out_src, int* out_tag) {
-  if (!st_) throw std::logic_error("xmp: wait() on an invalid Pending handle");
-  detail::PendingState& st = *st_;
-  if (st.consumed)
-    throw std::logic_error("xmp: wait() called twice on the same Pending handle");
-  detail::Group& g = *st.grp;
-#ifdef XMP_CHECKED
-  if (g.rs->checker) g.rs->checker->check_affinity(g, st.me, "wait");
-#endif
-  if (st.is_send) {
-    g.check_abort();
-    st.consumed = true;
-    retire_pending(st);
-    return {};
-  }
-  if (!st.matched) {
-    // Same match/park loop as Group::recv: parking goes through WaitCv, so
-    // under the fiber scheduler this wait() is a yield point, and the
-    // checked-mode watchdog sees it as a blocked recv (wait-for cycles
-    // through Pending::wait are diagnosed like recv deadlocks).
-    detail::Mailbox& box = *g.boxes[static_cast<std::size_t>(st.me)];
-    std::unique_lock lk(box.mu);
-    auto match = [&]() -> std::deque<detail::Message>::iterator {
-      for (auto it = box.q.begin(); it != box.q.end(); ++it)
-        if ((st.peer == kAnySource || it->src == st.peer) &&
-            (st.tag == kAnyTag || it->tag == st.tag))
-          return it;
-      return box.q.end();
-    };
-    std::deque<detail::Message>::iterator it;
-#ifdef XMP_CHECKED
-    bool registered = false;
-#endif
-    while (true) {
-      it = match();
-      if (it != box.q.end() || g.rs->aborted.load(std::memory_order_relaxed)) break;
-#ifdef XMP_CHECKED
-      if (g.rs->checker && !registered) {
-        g.rs->checker->block_recv(g, st.me, st.peer, st.tag);
-        registered = true;
-      }
-#endif
-      box.cv.wait(lk);
-    }
-#ifdef XMP_CHECKED
-    if (registered) g.rs->checker->unblock(g, st.me);
-#endif
-    g.check_abort();
-    st.claimed = std::move(*it);
-    box.q.erase(it);
-    st.matched = true;
-  } else {
-    g.check_abort();
-  }
-  st.consumed = true;
-  retire_pending(st);
-  if (out_src) *out_src = st.claimed.src;
-  if (out_tag) *out_tag = st.claimed.tag;
-  return std::move(st.claimed.data);
-}
-
-bool Pending::test() {
-  if (!st_) throw std::logic_error("xmp: test() on an invalid Pending handle");
-  detail::PendingState& st = *st_;
-  if (st.consumed)
-    throw std::logic_error("xmp: test() after wait() on the same Pending handle");
-  detail::Group& g = *st.grp;
-#ifdef XMP_CHECKED
-  if (g.rs->checker) g.rs->checker->check_affinity(g, st.me, "test");
-#endif
-  g.check_abort();
-  if (st.matched) {
-    retire_pending(st);
-    return true;
-  }
-  detail::Mailbox& box = *g.boxes[static_cast<std::size_t>(st.me)];
-  {
-    std::lock_guard lk(box.mu);
-    for (auto it = box.q.begin(); it != box.q.end(); ++it) {
-      if ((st.peer == kAnySource || it->src == st.peer) &&
-          (st.tag == kAnyTag || it->tag == st.tag)) {
-        // Claim immediately: a true result stays true, and the payload is
-        // reserved for the eventual wait().
-        st.claimed = std::move(*it);
-        box.q.erase(it);
-        st.matched = true;
-        retire_pending(st);
-        return true;
-      }
-    }
-  }
-  // A failed poll is a cooperative yield point: the caller's
-  // `while (!test())` loop must let the polled-on rank run even on a
-  // single fiber worker (threads are preemptive, fibers are not).
-  detail::fiber_yield();
-  return false;
-}
-
 void Comm::barrier() const {
   if (!group_) throw std::logic_error("xmp: invalid comm");
   // lint: no-trace (barriers carry no payload attribution)
@@ -720,12 +562,8 @@ void run(int nranks, const std::function<void(Comm&)>& fn, TraceSink trace,
     if (rs->check_error) std::rethrow_exception(rs->check_error);
   }
 #ifdef XMP_CHECKED
-  // Clean run: report Pending handles never completed by wait()/test(), then
-  // messages nobody ever received (both per LeftoverPolicy).
-  if (rs->checker) {
-    rs->checker->report_leaked_pending();
-    rs->checker->report_leftovers();
-  }
+  // Clean run: report messages nobody ever received (per LeftoverPolicy).
+  if (rs->checker) rs->checker->report_leftovers();
 #endif
 }
 

@@ -112,50 +112,7 @@ struct CollDesc {
 namespace detail {
 struct Group;
 struct RunState;
-struct PendingState;
 }  // namespace detail
-
-/// Handle to a nonblocking point-to-point operation (Comm::isend_bytes /
-/// Comm::irecv_bytes). wait() completes the operation — for receives it
-/// blocks until a matching message arrives, and like every runtime blocking
-/// point it is a fiber *yield* point under the fiber scheduler (the parked
-/// rank's worker runs other ranks); test() is a nonblocking completion
-/// probe. Every handle must be completed by wait() (or a test() that
-/// returned true) before the run ends: checked mode audits handle hygiene
-/// and reports leaked handles the way it reports leftover mailbox messages.
-/// Handles are rank-affine like the Comm that created them; movable, not
-/// copyable.
-class Pending {
-public:
-  Pending() = default;
-  Pending(Pending&&) noexcept = default;
-  Pending& operator=(Pending&&) noexcept = default;
-  Pending(const Pending&) = delete;
-  Pending& operator=(const Pending&) = delete;
-
-  bool valid() const { return st_ != nullptr; }
-
-  /// Complete the operation. Receives block until the matching message
-  /// arrives (a checked-mode blocked op, so wait-for cycles through wait()
-  /// are diagnosed like recv deadlocks) and return its payload, filling
-  /// out_src/out_tag when non-null; sends return empty immediately (the
-  /// in-process transport delivered at isend time). Throws std::logic_error
-  /// on an invalid handle or a second wait().
-  std::vector<std::uint8_t> wait(int* out_src = nullptr, int* out_tag = nullptr);
-
-  /// Nonblocking completion probe: true when wait() would return without
-  /// blocking. A matching message is claimed off the mailbox immediately,
-  /// so a true result is stable and the payload stays reserved for wait().
-  /// A false result is a cooperative yield point under the fiber scheduler
-  /// (the polled-on rank gets a turn), so `while (!p.test())` loops make
-  /// progress on any worker count.
-  bool test();
-
-private:
-  friend class Comm;
-  explicit Pending(std::shared_ptr<detail::PendingState> st) : st_(std::move(st)) {}
-  std::shared_ptr<detail::PendingState> st_;
-};
 
 /// Rank-local handle to a communicator. Cheap to copy; all copies refer to
 /// the same group. Rank-affine: a Comm must only be used by the rank
@@ -181,18 +138,6 @@ public:
   /// Fills out_src/out_tag when non-null.
   std::vector<std::uint8_t> recv_bytes(int src, int tag, int* out_src = nullptr,
                                        int* out_tag = nullptr) const;
-
-  /// Nonblocking send. The in-process transport is eager/buffered, so the
-  /// payload is delivered before this returns and the handle is born
-  /// complete — but it must still be retired by wait()/test() so checked
-  /// mode can audit handle hygiene symmetrically with irecv_bytes.
-  Pending isend_bytes(int dst, int tag, const void* data, std::size_t bytes) const;
-  /// Nonblocking receive: returns immediately with a handle; the matching
-  /// message is claimed by test() or wait(). src may be kAnySource, tag may
-  /// be kAnyTag. Posting order does not reserve matching order — two
-  /// outstanding irecvs with overlapping patterns claim messages in the
-  /// order their test()/wait() calls run, not the order they were posted.
-  Pending irecv_bytes(int src, int tag) const;
 
   template <class T>
   void send(int dst, int tag, std::span<const T> v) const {

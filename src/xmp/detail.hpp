@@ -121,20 +121,4 @@ struct Group : std::enable_shared_from_this<Group> {
   std::vector<std::uint8_t> recv(int me, int src, int tag, int* out_src, int* out_tag);
 };
 
-/// State behind one Pending handle (comm.hpp). Rank-affine: only the rank
-/// that created the handle mutates it, so no lock guards these fields — a
-/// matching probe/claim takes the mailbox mutex like Group::recv does.
-struct PendingState {
-  std::shared_ptr<Group> grp;
-  int me = -1;    // group-local owner rank
-  int peer = -1;  // dst (send) or requested src (recv); may be kAnySource
-  int tag = kAnyTag;
-  bool is_send = false;
-  bool matched = false;   // message claimed (or send completed eagerly)
-  bool consumed = false;  // wait() already returned
-  Message claimed;        // valid when matched && !is_send
-  /// Checked-mode handle-leak registry ticket (0 when unchecked).
-  std::uint64_t check_id = 0;
-};
-
 }  // namespace xmp::detail

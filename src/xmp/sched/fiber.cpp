@@ -103,10 +103,6 @@ void annotated_swap(void** save_fake_stack, const void* target_bottom, std::size
 
 Fiber* current_fiber() noexcept { return tl_worker ? tl_worker->current : nullptr; }
 
-void fiber_yield() noexcept {
-  if (Fiber* f = current_fiber()) f->sched->yield_current();
-}
-
 FiberScheduler::FiberScheduler(const SchedOptions& opts) : opts_(opts) {
   if (opts_.stack_kb < 16)
     throw std::invalid_argument("xmp: SchedOptions.stack_kb must be >= 16");
@@ -235,18 +231,6 @@ void FiberScheduler::park(std::unique_lock<std::mutex>& lk) {
   lk.unlock();
   switch_to_worker(f, /*dying=*/false);
   lk.lock();
-}
-
-void FiberScheduler::yield_current() {
-  Fiber* f = tl_worker->current;
-  {
-    // Parking with wake_pending pre-set: the worker's post-switch finalise
-    // re-enqueues immediately — the same path a racing waker takes.
-    std::lock_guard g(mu_);
-    f->state = Fiber::State::Parking;
-    f->wake_pending = true;
-  }
-  switch_to_worker(f, /*dying=*/false);
 }
 
 void FiberScheduler::make_runnable(Fiber* f) {

@@ -84,11 +84,6 @@ public:
   /// returns. Spurious returns are possible — callers re-check predicates.
   void park(std::unique_lock<std::mutex>& lk);
 
-  /// Cooperative yield: requeues the current fiber at the back of the run
-  /// queue and switches to the worker, so every other runnable fiber gets a
-  /// turn first. The progress guarantee behind poll loops (Pending::test).
-  void yield_current();
-
 private:
   void worker_main();
   void dispatch(Fiber* f);
@@ -112,11 +107,5 @@ private:
 /// Fiber the calling OS thread is currently executing, or nullptr on plain
 /// threads (threads backend, helper threads, the watchdog, main).
 Fiber* current_fiber() noexcept;
-
-/// Yields the calling fiber to its scheduler; no-op on plain threads.
-/// Non-blocking runtime calls that poll — `while (!p.test()) ...` — route
-/// through this so the polled-on rank can run even on a single worker
-/// (threads are preemptive, fibers are not).
-void fiber_yield() noexcept;
 
 }  // namespace xmp::detail

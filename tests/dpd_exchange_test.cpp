@@ -1,15 +1,14 @@
 // Tests for the spatial domain decomposition (src/dpd/exchange/): grid
 // geometry, halo/migration protocols, and the tentpole gate — N-rank
-// distributed runs reproduce the single-rank trajectory digest *bitwise*
-// under HaloMode::Symmetric (tolerance-pinned under ReverseOnce), including
-// across a mid-run checkpoint/restart. Also pins the gid-keyed pair RNG
+// distributed runs reproduce the single-rank trajectory digest *bitwise*,
+// including across a mid-run checkpoint/restart. Also pins the gid-keyed pair RNG
 // (trajectories invariant to local index layout and to removal compaction)
 // and the exchange telemetry counters / CommMatrix attribution.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <mutex>
 #include <set>
@@ -34,7 +33,6 @@ using dpd::exchange::Decomposition;
 using dpd::exchange::DistOptions;
 using dpd::exchange::DistributedDpd;
 using dpd::exchange::GridDims;
-using dpd::exchange::HaloMode;
 using dpd::exchange::trajectory_digest;
 
 // ---------------------------------------------------------------- geometry
@@ -164,11 +162,11 @@ std::uint64_t single_rank_digest(int steps) {
   return trajectory_digest(*sys);
 }
 
-std::uint64_t distributed_digest_opt(int nranks, int steps, DistOptions opt) {
+std::uint64_t distributed_digest(int nranks, int steps) {
   std::uint64_t out = 0;
   xmp::run(nranks, [&](xmp::Comm& world) {
     auto sys = make_channel_system();
-    DistributedDpd drv(world, *sys, opt);
+    DistributedDpd drv(world, *sys);
     drv.distribute();
     for (int s = 0; s < steps; ++s) sys->step();
     const std::uint64_t d = drv.global_digest();
@@ -177,33 +175,12 @@ std::uint64_t distributed_digest_opt(int nranks, int steps, DistOptions opt) {
   return out;
 }
 
-std::uint64_t distributed_digest(int nranks, int steps, HaloMode mode = HaloMode::Symmetric) {
-  DistOptions opt;
-  opt.mode = mode;
-  return distributed_digest_opt(nranks, steps, opt);
-}
-
 TEST(ExchangeEquivalence, TwoRankSymmetricRunIsBitwiseEqual) {
   EXPECT_EQ(distributed_digest(2, 40), single_rank_digest(40));
 }
 
 TEST(ExchangeEquivalence, FourRankSymmetricRunIsBitwiseEqual) {
   EXPECT_EQ(distributed_digest(4, 40), single_rank_digest(40));
-}
-
-TEST(ExchangeEquivalence, OverlappedTwoRankSymmetricRunIsBitwiseEqual) {
-  // The overlapped pair pass (interior rows while the split-phase halo
-  // flies, boundary rows after, staged canonical-order scatter replay) must
-  // not change a single bit of the trajectory.
-  DistOptions opt;
-  opt.overlap = true;
-  EXPECT_EQ(distributed_digest_opt(2, 40, opt), single_rank_digest(40));
-}
-
-TEST(ExchangeEquivalence, OverlappedFourRankSymmetricRunIsBitwiseEqual) {
-  DistOptions opt;
-  opt.overlap = true;
-  EXPECT_EQ(distributed_digest_opt(4, 40, opt), single_rank_digest(40));
 }
 
 TEST(ExchangeEquivalence, DigestAgreesOnEveryRank) {
@@ -250,38 +227,24 @@ TEST(ExchangeEquivalence, RestartAcrossMidRunCheckpointIsBitwiseEqual) {
   EXPECT_EQ(out, ref);
 }
 
-TEST(ExchangeEquivalence, OverlappedRestartAcrossMidRunCheckpointIsBitwiseEqual) {
-  // Same gate with the overlapped halo path on both sides of the
-  // checkpoint: no in-flight overlap state may leak into (or be needed
-  // from) the blob — refresh() always begins and pair_forces always
-  // finishes the split-phase update within one force evaluation.
-  const int pre = 20, post = 20;
-  const std::uint64_t ref = single_rank_digest(pre + post);
-  std::uint64_t out = 0;
-  xmp::run(2, [&](xmp::Comm& world) {
-    DistOptions opt;
-    opt.overlap = true;
-    std::vector<std::uint8_t> blob;
-    {
-      auto sys = make_channel_system();
-      DistributedDpd drv(world, *sys, opt);
-      drv.distribute();
-      for (int s = 0; s < pre; ++s) sys->step();
-      resilience::BlobWriter w;
-      sys->save_state(w);
-      drv.save_state(w);
-      blob = w.take();
-    }
+TEST(ExchangeRestart, CorruptCutPlaneCountThrowsCorruptError) {
+  // A garbage cut-plane count must be rejected as a corrupt checkpoint
+  // before anything is allocated from it.
+  xmp::run(1, [](xmp::Comm& world) {
     auto sys = make_channel_system();
-    DistributedDpd drv(world, *sys, opt);
+    DistributedDpd drv(world, *sys);
+    drv.distribute();
+    resilience::BlobWriter w;
+    drv.save_state(w);
+    std::vector<std::uint8_t> blob = w.take();
+    // layout: 3 x i32 dims, f64 halo width, u8 distributed flag, then the
+    // x-axis cut planes as a little-endian u64 count + doubles
+    constexpr std::size_t kCountAt = 3 * sizeof(std::int32_t) + sizeof(double) + 1;
+    ASSERT_EQ(blob[kCountAt], drv.decomposition().bounds(0).size());
+    std::fill_n(blob.begin() + kCountAt, sizeof(std::uint64_t), std::uint8_t{0xFF});
     resilience::BlobReader r(blob);
-    sys->load_state(r);
-    drv.load_state(r);
-    for (int s = 0; s < post; ++s) sys->step();
-    const std::uint64_t d = drv.global_digest();
-    if (world.rank() == 0) out = d;
+    EXPECT_THROW(drv.load_state(r), resilience::CorruptError);
   });
-  EXPECT_EQ(out, ref);
 }
 
 // Replicated deterministic setup with all particles crowded into x < 6 —
@@ -300,9 +263,9 @@ std::shared_ptr<dpd::DpdSystem> make_skewed_system() {
 
 TEST(ExchangeRebalance, SkewedRunMovesCutsAndStaysBitwiseEqual) {
   // Particle-count load balancing is trajectory-neutral: shifting the cut
-  // planes forces a rebuild under a different ownership layout, but under
-  // HaloMode::Symmetric the digest must still match the single-rank run
-  // bitwise — while the cuts demonstrably moved off the uniform layout.
+  // planes forces a rebuild under a different ownership layout, but the
+  // digest must still match the single-rank run bitwise — while the cuts
+  // demonstrably moved off the uniform layout.
   const int steps = 30;
   std::uint64_t ref = 0;
   {
@@ -316,7 +279,6 @@ TEST(ExchangeRebalance, SkewedRunMovesCutsAndStaysBitwiseEqual) {
     auto sys = make_skewed_system();
     DistOptions opt;
     opt.dims = {2, 1, 1};
-    opt.overlap = true;
     opt.rebalance_every = 5;
     DistributedDpd drv(world, *sys, opt);
     drv.distribute();
@@ -350,7 +312,6 @@ TEST(ExchangeRebalance, RestartAfterRebalanceRestoresMovedCuts) {
   xmp::run(2, [&](xmp::Comm& world) {
     DistOptions opt;
     opt.dims = {2, 1, 1};
-    opt.overlap = true;
     opt.rebalance_every = 3;
     std::vector<std::uint8_t> blob;
     std::vector<double> cuts_at_save;
@@ -381,44 +342,6 @@ TEST(ExchangeRebalance, RestartAfterRebalanceRestoresMovedCuts) {
   });
   EXPECT_EQ(out, ref);
   EXPECT_TRUE(cuts_restored) << "load_state must restore the post-rebalance cut planes";
-}
-
-TEST(ExchangeEquivalence, ReverseOnceModeIsTolerancePinned) {
-  // ReverseOnce computes each cross-boundary pair once and reverse-ships
-  // the other half; the changed per-particle accumulation order leaves
-  // O(ulp) differences that chaotic amplification grows — pinned here at
-  // 1e-8 over 10 steps (documented in docs/PERF.md).
-  const int steps = 10;
-  auto ref = make_channel_system();
-  for (int s = 0; s < steps; ++s) ref->step();
-  std::vector<dpd::ParticleRecord> ref_recs;
-  for (std::size_t i = 0; i < ref->size(); ++i) ref_recs.push_back(ref->particle_record(i));
-  std::sort(ref_recs.begin(), ref_recs.end(),
-            [](const dpd::ParticleRecord& a, const dpd::ParticleRecord& b) {
-              return a.gid < b.gid;
-            });
-
-  double max_err = -1.0;
-  xmp::run(2, [&](xmp::Comm& world) {
-    auto sys = make_channel_system();
-    DistOptions opt;
-    opt.mode = HaloMode::ReverseOnce;
-    DistributedDpd drv(world, *sys, opt);
-    drv.distribute();
-    for (int s = 0; s < steps; ++s) sys->step();
-    const auto all = drv.gather(0);
-    if (world.rank() != 0) return;
-    ASSERT_EQ(all.size(), ref_recs.size());
-    double err = 0.0;
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      ASSERT_EQ(all[i].gid, ref_recs[i].gid);
-      err = std::max(err, (all[i].pos - ref_recs[i].pos).norm());
-      err = std::max(err, (all[i].vel - ref_recs[i].vel).norm());
-    }
-    max_err = err;
-  });
-  ASSERT_GE(max_err, 0.0);
-  EXPECT_LT(max_err, 1e-8);
 }
 
 // ----------------------------------------------- migration & diagnostics
@@ -481,47 +404,6 @@ TEST(ExchangeTelemetry, CommMatrixAttributesExchangeTraffic) {
   }
   EXPECT_GT(build_bytes, 0u);
   EXPECT_GT(update_bytes, 0u);
-}
-
-TEST(ExchangeTelemetry, OverlapCountersAndAsyncTagClass) {
-  // The overlapped path reports its comm/compute overlap window and the
-  // interior/boundary row split, and its traffic rides the dedicated
-  // kTagHaloAsync tag so a CommMatrix attributes it separately from the
-  // blocking halo update.
-  telemetry::Registry::reset_all();
-  telemetry::set_enabled(true);
-  telemetry::CommMatrix matrix(dpd::exchange::comm_tag_classes());
-  std::mutex mu;
-  double rows_interior = 0.0, rows_boundary = 0.0;
-  bool overlap_counted = false;
-  xmp::run(
-      2,
-      [&](xmp::Comm& world) {
-        auto sys = make_channel_system();
-        DistOptions opt;
-        opt.overlap = true;
-        DistributedDpd drv(world, *sys, opt);
-        drv.distribute();
-        for (int s = 0; s < 5; ++s) sys->step();
-        const auto counters = telemetry::Registry::local().counters();
-        auto get = [&](const char* name) {
-          const auto it = counters.find(name);
-          return it == counters.end() ? 0.0 : it->second.value;
-        };
-        std::lock_guard<std::mutex> lk(mu);
-        rows_interior += get("dpd.rows.interior");
-        rows_boundary += get("dpd.rows.boundary");
-        overlap_counted = overlap_counted || counters.count("dpd.halo.overlap_us") > 0;
-      },
-      matrix.sink());
-  telemetry::set_enabled(false);
-  EXPECT_GT(rows_interior, 0.0) << "the channel split leaves owned-only rows to overlap with";
-  EXPECT_GT(rows_boundary, 0.0);
-  EXPECT_TRUE(overlap_counted);
-  std::uint64_t async_bytes = 0;
-  for (const auto& [key, cell] : matrix.cells())
-    if (std::get<2>(key) == "dpd.halo.async") async_bytes += cell.bytes;
-  EXPECT_GT(async_bytes, 0u);
 }
 
 // --------------------------------------- force modules under decomposition

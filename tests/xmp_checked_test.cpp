@@ -281,91 +281,6 @@ TEST(XmpChecked, UnreceivedMessagesReportedAtRunEnd) {
   expect_contains(msg, {"unreceived message", "tag 9", "tag 10", "24 bytes", "src 0 -> dst 1"});
 }
 
-// --------------------------------------- nonblocking-p2p handle hygiene
-
-TEST(XmpChecked, LeakedIrecvHandleReportedAtRunEnd) {
-  SKIP_UNLESS_CHECKED();
-  const auto msg = run_expect_check(
-      2,
-      [](xmp::Comm& world) {
-        if (world.rank() == 0) {
-          xmp::Pending p = world.irecv_bytes(1, 9);
-          (void)p;  // dropped without wait()/test(): the recv never happens
-        }
-        world.barrier();
-      },
-      checked());
-  expect_contains(msg,
-                  {"leaked pending handle", "irecv(src=1, tag=9)", "world rank 0", "comm world"});
-}
-
-TEST(XmpChecked, LeakedIsendHandleReportedAtRunEnd) {
-  SKIP_UNLESS_CHECKED();
-  // The message itself is delivered (eager transport) and received, so the
-  // only diagnostic left is the dropped send handle.
-  const auto msg = run_expect_check(
-      2,
-      [](xmp::Comm& world) {
-        if (world.rank() == 0) {
-          const double v = 1.0;
-          xmp::Pending p = world.isend_bytes(1, 5, &v, sizeof v);
-          (void)p;
-        } else {
-          (void)world.recv<double>(0, 5);
-        }
-        world.barrier();
-      },
-      checked());
-  expect_contains(msg, {"leaked pending handle", "isend(dst=1, tag=5)", "world rank 0"});
-}
-
-TEST(XmpChecked, CompletedHandlesLeaveNoLeakReport) {
-  SKIP_UNLESS_CHECKED();
-  // wait() and a successful (claiming) test() both retire the handle.
-  xmp::run(
-      2,
-      [](xmp::Comm& world) {
-        const int peer = 1 - world.rank();
-        const int v = world.rank();
-        xmp::Pending s = world.isend_bytes(peer, 3, &v, sizeof v);
-        xmp::Pending r = world.irecv_bytes(peer, 3);
-        s.wait();
-        while (!r.test()) std::this_thread::yield();
-      },
-      nullptr, checked());
-}
-
-TEST(XmpChecked, PendingWaitDeadlockCycleDetected) {
-  SKIP_UNLESS_CHECKED();
-  // Pending::wait parks exactly like a blocking recv, so a wait-for cycle
-  // through nonblocking handles must be diagnosed the same way.
-  const auto msg = run_expect_check(
-      2,
-      [](xmp::Comm& world) {
-        xmp::Pending p = world.irecv_bytes(1 - world.rank(), 7 + world.rank());
-        (void)p.wait();
-      },
-      checked());
-  expect_contains(msg, {"deadlock detected", "wait-for cycle", "recv(src=1, tag=7)",
-                        "recv(src=0, tag=8)", "comm world"});
-}
-
-TEST(XmpChecked, LeftoverPolicyWarnCoversLeakedHandles) {
-  SKIP_UNLESS_CHECKED();
-  auto opts = checked();
-  opts.leftovers = xmp::LeftoverPolicy::Warn;
-  xmp::run(
-      2,
-      [](xmp::Comm& world) {
-        if (world.rank() == 0) {
-          xmp::Pending p = world.irecv_bytes(1, 9);
-          (void)p;
-        }
-        world.barrier();
-      },
-      nullptr, opts);
-}
-
 TEST(XmpChecked, LeftoverPolicyWarnDoesNotThrow) {
   SKIP_UNLESS_CHECKED();
   auto opts = checked();

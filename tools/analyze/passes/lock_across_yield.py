@@ -35,10 +35,6 @@ YIELD_CALLS = frozenset({
     "barrier", "bcast", "gather", "gatherv", "scatter", "scatterv",
     "allgather", "allgatherv", "reduce", "allreduce", "split",
     "collect_bytes", "collect_bytes_all",
-    # nonblocking-p2p handles: Pending::wait parks like a recv, and a
-    # failed Pending::test is a cooperative yield (fiber_yield) — holding
-    # an unrelated mutex across either from fiber code is the same inversion
-    "test", "fiber_yield", "yield_current",
 })
 
 
@@ -251,25 +247,6 @@ void f(xmp::Comm& c, std::mutex& mu) {
   std::lock_guard lk(mu);
   // analyze: lock-across-yield-ok (single-rank comm: recv completes immediately)
   auto msg = c.recv_bytes(0, 7);
-}
-"""},
-     set()),
-
-    ("Pending::test polled under a held lock is flagged",
-     {"src/xmp/a.cpp": """
-void f(xmp::Pending& p, std::mutex& mu) {
-  std::lock_guard lk(mu);
-  while (!p.test()) spin();
-}
-"""},
-     {"f:test(lk)#1"}),
-
-    ("marked Pending::wait under a held lock is suppressed",
-     {"src/xmp/a.cpp": """
-void f(xmp::Pending& p, std::mutex& mu) {
-  std::lock_guard lk(mu);
-  // analyze: lock-across-yield-ok (handle is born matched: wait cannot park)
-  auto raw = p.wait();
 }
 """},
      set()),

@@ -39,8 +39,7 @@ sem-hot-alloc
 
 exchange-hot-alloc
     Inside the halo/migration fast-path bodies under src/dpd/exchange/
-    (`update` / `reverse` / `begin_update` / `finish_update` and the
-    `pack_*` / `unpack_*` / `accumulate_*` packers), constructing a
+    (`update` and the `pack_*` / `unpack_*` packers), constructing a
     `std::vector` is a per-force-pass heap allocation; the exchangers hoist
     all pack/recv scratch into persistent members (see docs/PERF.md). Lines
     opt out with a `// lint: exchange-alloc-ok (<reason>)` marker (on the
@@ -105,7 +104,7 @@ STD_FUNCTION_OK_RE = re.compile(r"//\s*lint:\s*std-function-ok")
 SEM_HOT_FN_RE = re.compile(r"\b(?:\w+\s*::\s*)?((?:apply_|elem_)\w*)\s*\(")
 EXCHANGE_HOT_FN_RE = re.compile(
     r"\b(?:\w+\s*::\s*)?"
-    r"(update|reverse|begin_update|finish_update|pack_\w+|unpack_\w+|accumulate_\w+)\s*\(")
+    r"(update|pack_\w+|unpack_\w+)\s*\(")
 STD_VECTOR_CTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
 SEM_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*sem-alloc-ok")
 EXCHANGE_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*exchange-alloc-ok")
@@ -364,8 +363,7 @@ def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
                 findings.append(Finding(
                     rel, i + 1, "exchange-hot-alloc",
                     "std::vector construction inside a halo fast-path body "
-                    "(update/reverse/begin_update/finish_update/pack_*/"
-                    "unpack_*/accumulate_*) allocates every force pass; use "
+                    "(update/pack_*/unpack_*) allocates every force pass; use "
                     "the hoisted member scratch, or mark a deliberate case "
                     "with `// lint: exchange-alloc-ok (<reason>)`"))
 
@@ -538,15 +536,20 @@ SELF_TEST_CASES = [
      "  std::vector<double> buf(send_.size() * 6);\n"
      "  comm_.send(0, 1, buf);\n}\n",
      {"exchange-hot-alloc"}),
-    ("src/dpd/exchange/bad_hot_alloc_begin.cpp",
-     "void HaloExchanger::begin_update(DpdSystem& sys) {\n"
-     "  std::vector<xmp::Pending> pending;\n}\n",
+    ("src/dpd/exchange/bad_hot_alloc_pack.cpp",
+     "void pack_posvel(const SoA3& a, const SoA3& b, const Idx& idx, Buf& out) {\n"
+     "  std::vector<double> tmp(6 * idx.size());\n}\n",
+     {"exchange-hot-alloc"}),
+    ("src/dpd/exchange/bad_hot_alloc_unpack.cpp",
+     "void unpack_posvel(SoA3& a, SoA3& b, const Idx& idx, const Buf& in) {\n"
+     "  std::vector<double> tmp(in);\n}\n",
      {"exchange-hot-alloc"}),
     ("src/dpd/exchange/ok_param_types.cpp",
-     "void pack_lanes(const SoA3& a, const std::vector<std::uint32_t>& idx,\n"
-     "                std::vector<double>& out) {\n"
-     "  out.resize(3 * idx.size());\n"
-     "  const std::vector<double>* lanes[3] = {&a.xs(), &a.ys(), &a.zs()};\n"
+     "void pack_posvel(const SoA3& a, const SoA3& b, const std::vector<std::uint32_t>& idx,\n"
+     "                 std::vector<double>& out) {\n"
+     "  out.resize(6 * idx.size());\n"
+     "  const std::vector<double>* lanes[6] = {&a.xs(), &a.ys(), &a.zs(),\n"
+     "                                         &b.xs(), &b.ys(), &b.zs()};\n"
      "}\n",
      set()),
     ("src/dpd/exchange/ok_hot_alloc_marker.cpp",
