@@ -43,10 +43,6 @@ Decomposition::Decomposition(const Vec3& box, const std::array<bool, 3>& periodi
     for (int k = 0; k < ns[a]; ++k) c[static_cast<std::size_t>(k)] = w * k;
     c[static_cast<std::size_t>(ns[a])] = Ls[a];
   }
-  rebuild_neighbors();
-}
-
-void Decomposition::rebuild_neighbors() {
   const int n = nranks();
   neighbors_.assign(static_cast<std::size_t>(n), {});
   // box-to-box periodic distance between every subdomain pair; with the
@@ -73,89 +69,6 @@ void Decomposition::rebuild_neighbors() {
       if (dx * dx + dy * dy + dz * dz < h2) neighbors_[static_cast<std::size_t>(r)].push_back(d);
     }
   }
-}
-
-void Decomposition::set_bounds(int axis, const std::vector<double>& b) {
-  if (axis < 0 || axis > 2)
-    throw std::invalid_argument("exchange: set_bounds axis " + std::to_string(axis) +
-                                " out of range");
-  const int n = axis == 0 ? dims_.px : axis == 1 ? dims_.py : dims_.pz;
-  const double L = axis == 0 ? box_.x : axis == 1 ? box_.y : box_.z;
-  if (b.size() != static_cast<std::size_t>(n) + 1)
-    throw std::invalid_argument("exchange: set_bounds expects " + std::to_string(n + 1) +
-                                " boundaries, got " + std::to_string(b.size()));
-  if (b.front() != 0.0 || b.back() != L)
-    throw std::invalid_argument("exchange: set_bounds boundaries must span [0, box length]");
-  for (std::size_t i = 1; i < b.size(); ++i)
-    if (!(b[i] > b[i - 1]))
-      throw std::invalid_argument("exchange: set_bounds boundaries must be strictly ascending");
-  cuts_[static_cast<std::size_t>(axis)] = b;
-  rebuild_neighbors();
-}
-
-bool Decomposition::rebalance(const std::array<std::vector<double>, 3>& hist,
-                              double max_shift_fraction) {
-  const double max_shift = max_shift_fraction * halo_;
-  const int ns[3] = {dims_.px, dims_.py, dims_.pz};
-  const double Ls[3] = {box_.x, box_.y, box_.z};
-  bool moved = false;
-  for (int a = 0; a < 3; ++a) {
-    const int n = ns[a];
-    if (n < 2) continue;
-    const auto& h = hist[static_cast<std::size_t>(a)];
-    if (h.empty()) continue;
-    double total = 0.0;
-    for (double v : h) total += v;
-    if (total <= 0.0) continue;
-    const double L = Ls[a];
-    const auto nbins = h.size();
-    const double bw = L / static_cast<double>(nbins);
-    std::vector<double> prefix(nbins + 1, 0.0);
-    for (std::size_t b = 0; b < nbins; ++b) prefix[b + 1] = prefix[b] + h[b];
-
-    auto& cuts = cuts_[static_cast<std::size_t>(a)];
-    std::vector<double> next = cuts;
-    for (int k = 1; k < n; ++k) {
-      // Marginal quantile: the position splitting the axis counts k : n-k,
-      // linearly interpolated inside its histogram bin.
-      const double target = total * k / n;
-      auto it = std::upper_bound(prefix.begin(), prefix.end(), target);
-      auto b = static_cast<std::size_t>(
-          std::clamp<std::ptrdiff_t>(it - prefix.begin() - 1, 0,
-                                     static_cast<std::ptrdiff_t>(nbins) - 1));
-      const double frac = h[b] > 0.0 ? (target - prefix[b]) / h[b] : 0.5;
-      double x = (static_cast<double>(b) + frac) * bw;
-      // Bounded step: a cut that moves less than halo_width keeps every
-      // post-rebalance migration inside the *new* neighbor shell (the new
-      // owner's slab is within the shift of the old owner's, which held the
-      // particle), so MigrationExchanger needs no long-range path.
-      x = std::clamp(x, cuts[static_cast<std::size_t>(k)] - max_shift,
-                     cuts[static_cast<std::size_t>(k)] + max_shift);
-      next[static_cast<std::size_t>(k)] = x;
-    }
-    // Keep slabs comfortably wide (half the smaller of halo and the uniform
-    // width) and ordered; when the passes below push a cut back out of its
-    // bounded step, skip this axis rather than risk migration legality.
-    const double min_gap = 0.5 * std::min(halo_, L / n);
-    for (int k = 1; k < n; ++k)
-      next[static_cast<std::size_t>(k)] =
-          std::max(next[static_cast<std::size_t>(k)], next[static_cast<std::size_t>(k) - 1] + min_gap);
-    for (int k = n - 1; k >= 1; --k)
-      next[static_cast<std::size_t>(k)] =
-          std::min(next[static_cast<std::size_t>(k)], next[static_cast<std::size_t>(k) + 1] - min_gap);
-    bool ok = true;
-    for (int k = 1; k <= n && ok; ++k)
-      ok = next[static_cast<std::size_t>(k)] > next[static_cast<std::size_t>(k) - 1];
-    for (int k = 1; k < n && ok; ++k)
-      ok = std::abs(next[static_cast<std::size_t>(k)] - cuts[static_cast<std::size_t>(k)]) <=
-           max_shift + 1e-12;
-    if (!ok) continue;
-    for (int k = 1; k < n; ++k)
-      if (next[static_cast<std::size_t>(k)] != cuts[static_cast<std::size_t>(k)]) moved = true;
-    cuts = std::move(next);
-  }
-  if (moved) rebuild_neighbors();
-  return moved;
 }
 
 std::array<int, 3> Decomposition::coords_of(int rank) const {
@@ -199,7 +112,7 @@ int Decomposition::rank_of_position(const Vec3& p) const {
       if (x < 0.0) x += L;
     }
     // slab whose [cuts[k], cuts[k+1]) half-open interval holds x — exactly
-    // the membership subdomain() describes, whatever the cut positions
+    // the membership subdomain() describes, even at slab edges
     const auto it = std::upper_bound(cuts.begin(), cuts.end(), x);
     const auto k = static_cast<int>(it - cuts.begin()) - 1;
     return std::clamp(k, 0, n - 1);

@@ -35,8 +35,8 @@ struct Subdomain {
 class Decomposition {
 public:
   /// Throws std::invalid_argument when dims.count() != nranks or any
-  /// dimension is non-positive, and when halo_width <= 0. Cut planes start
-  /// uniform; rebalance()/set_bounds() move them.
+  /// dimension is non-positive, and when halo_width <= 0. Cut planes are
+  /// uniform and fixed for the lifetime of the instance.
   Decomposition(const Vec3& box, const std::array<bool, 3>& periodic, GridDims dims,
                 double halo_width);
 
@@ -67,38 +67,15 @@ public:
     return dist2_to_subdomain(p, dst) < halo_ * halo_;
   }
 
-  /// Per-axis slab boundaries: dims+1 ascending values from 0 to the box
-  /// length. Subdomain membership, neighbor sets and halo tests all derive
-  /// from these, so they stay mutually consistent when cuts move.
-  const std::vector<double>& bounds(int axis) const {
-    return cuts_[static_cast<std::size_t>(axis)];
-  }
-  /// Replace one axis's boundaries (size dims+1, strictly ascending, first 0
-  /// and last the box length — throws std::invalid_argument otherwise) and
-  /// rebuild the neighbor sets. Every rank must apply identical bounds: the
-  /// decomposition is replicated, never communicated.
-  void set_bounds(int axis, const std::vector<double>& b);
-
-  /// Move interior cut planes toward equal per-slab particle counts, one
-  /// axis at a time, from per-axis position histograms (hist[a][b] = global
-  /// count of particles whose axis-a coordinate falls in bin b of a uniform
-  /// binning of [0, box length)). Each cut targets the marginal quantile of
-  /// its slab index but moves at most `max_shift_fraction * halo_width` per
-  /// call — the bound that keeps every post-rebalance migration inside the
-  /// new neighbor shell — and slabs keep a minimum width of half the
-  /// smaller of halo_width and the uniform slab. Returns true when any cut
-  /// moved (callers must then migrate ownership and re-ship ghosts).
-  bool rebalance(const std::array<std::vector<double>, 3>& hist,
-                 double max_shift_fraction = 0.9);
-
 private:
-  void rebuild_neighbors();
-
   Vec3 box_{};
   std::array<bool, 3> periodic_{};
   GridDims dims_{};
   double halo_ = 0.0;
-  std::array<std::vector<double>, 3> cuts_;  // per axis: dims+1 boundaries
+  // per axis: dims+1 ascending slab boundaries from 0 to the box length;
+  // subdomain(), rank_of_position() and the neighbor sets all read these,
+  // so they agree exactly at slab edges
+  std::array<std::vector<double>, 3> cuts_;
   std::vector<std::vector<int>> neighbors_;
 };
 

@@ -116,13 +116,6 @@ void DistributedDpd::refresh(DpdSystem& sys) {
   if (!distributed_)
     throw std::logic_error("DistributedDpd: stepping before distribute() (or restart load)");
   telemetry::ScopedPhase phase("dpd.exchange");
-  ++refresh_count_;
-  // Rebalance cadence first: a moved layout already ships a fresh halo. The
-  // counter is replicated (every rank refreshes in lockstep), so the inner
-  // collective is entered by all ranks or none.
-  if (opt_.rebalance_every > 0 && refresh_count_ % static_cast<std::uint64_t>(opt_.rebalance_every) == 0 &&
-      rebalance())
-    return;
   // Rebuild when any owned particle anywhere drifted past skin/2 since the
   // last rebuild — the same criterion that bounds Verlet-list reuse, and
   // exactly what keeps the rc+skin halo a superset of every rc partner set.
@@ -144,42 +137,6 @@ void DistributedDpd::refresh(DpdSystem& sys) {
   } else {
     halo_.update(sys);
   }
-}
-
-bool DistributedDpd::rebalance() {
-  if (!distributed_)
-    throw std::logic_error("DistributedDpd: rebalance() before distribute() (or restart load)");
-  const auto mine = static_cast<double>(sys_.owned_count());
-  const double maxc = comm_.allreduce(mine, xmp::Op::Max);
-  const double mean = comm_.allreduce(mine, xmp::Op::Sum) / comm_.size();
-  if (mean <= 0.0 || maxc <= opt_.rebalance_threshold * mean) return false;
-
-  // Per-axis marginal histograms of owned positions; the allreduce
-  // replicates them, so every rank derives identical cut planes.
-  constexpr int kBins = 128;
-  std::vector<double> h(3 * kBins, 0.0);
-  const Vec3 box = sys_.params().box;
-  const double L[3] = {box.x, box.y, box.z};
-  const auto& ghost = sys_.ghost_mask();
-  for (std::size_t i = 0; i < sys_.size(); ++i) {
-    if (ghost[i]) continue;
-    const Vec3 p = sys_.positions()[i];
-    const double c[3] = {p.x, p.y, p.z};
-    for (int a = 0; a < 3; ++a) {
-      const int b = std::clamp(static_cast<int>(c[a] / L[a] * kBins), 0, kBins - 1);
-      h[static_cast<std::size_t>(a * kBins + b)] += 1.0;
-    }
-  }
-  const auto g = comm_.allreduce(std::span<const double>(h), xmp::Op::Sum);
-  std::array<std::vector<double>, 3> hist;
-  for (int a = 0; a < 3; ++a)
-    hist[static_cast<std::size_t>(a)].assign(g.begin() + a * kBins, g.begin() + (a + 1) * kBins);
-  if (!decomp_.rebalance(hist)) return false;
-  telemetry::count("dpd.rebalance.count", 1.0);
-  // Ownership follows the moved cuts; the bounded per-cut step keeps every
-  // transfer inside the new neighbour shell (see Decomposition::rebalance).
-  full_rebuild(sys_);
-  return true;
 }
 
 void DistributedDpd::full_rebuild(DpdSystem& sys) {
@@ -271,10 +228,6 @@ void DistributedDpd::save_state(resilience::BlobWriter& w) const {
   w.pod(static_cast<std::int32_t>(opt_.dims.pz));
   w.pod(opt_.halo_width);
   w.pod(static_cast<std::uint8_t>(distributed_));
-  // Cut planes: a rebalanced layout must survive restart, or the forced
-  // post-load migration would run under uniform cuts that no longer own the
-  // particles (and could need paths past the neighbour shell).
-  for (int a = 0; a < 3; ++a) w.vec(decomp_.bounds(a));
 }
 
 void DistributedDpd::load_state(resilience::BlobReader& r) {
@@ -288,10 +241,6 @@ void DistributedDpd::load_state(resilience::BlobReader& r) {
     throw resilience::LayoutError("DistributedDpd: checkpoint process grid mismatch");
   if (halo != opt_.halo_width)
     throw resilience::LayoutError("DistributedDpd: checkpoint halo width mismatch");
-  for (int a = 0; a < 3; ++a) {
-    const auto b = r.vec<double>();
-    if (b != decomp_.bounds(a)) decomp_.set_bounds(a, b);
-  }
   distributed_ = was_distributed;
   // plans and displacement refs are not serialised: force a rebuild, which
   // re-derives them from the (already loaded) per-rank particle state

@@ -36,14 +36,6 @@ struct DistOptions {
   /// minimum). Raise to max module cutoff + skin when a force module
   /// (platelet adhesion, long bonds) reaches beyond rc.
   double halo_width = 0.0;
-  /// When > 0, every Nth refresh measures owned-count imbalance and — above
-  /// rebalance_threshold — shifts the decomposition's cut planes toward
-  /// equal counts (Decomposition::rebalance) followed by a full rebuild.
-  /// Trajectory-neutral, like any forced rebuild.
-  int rebalance_every = 0;
-  /// Trigger rebalancing when max owned count exceeds this multiple of the
-  /// mean.
-  double rebalance_threshold = 1.2;
 };
 
 /// Bitwise trajectory digest (FNV-1a over gid-sorted owned gid/pos/vel) of
@@ -65,14 +57,6 @@ public:
 
   void refresh(DpdSystem& sys) override;
 
-  /// Measure owned-count imbalance (max/mean over ranks, allreduced) and,
-  /// above options().rebalance_threshold, move the decomposition's cut
-  /// planes toward equal per-slab counts and migrate ownership to the new
-  /// layout. Collective; returns true when the layout changed (the halo and
-  /// plans are then freshly rebuilt). Called automatically every
-  /// rebalance_every refreshes when that option is set.
-  bool rebalance();
-
   const Decomposition& decomposition() const { return decomp_; }
   const DistOptions& options() const { return opt_; }
 
@@ -93,13 +77,11 @@ public:
   /// of Bound platelets. Collective.
   void sync_platelets(PlateletModel& model);
 
-  /// Checkpoint the driver: decomposition layout + halo width (validated on
-  /// load) and the current cut planes (restored, so a post-rebalance restart
-  /// migrates under the decomposition that actually owns the particles) —
-  /// plans and displacement references are rebuilt, so load forces a full
-  /// rebuild at the next refresh, which is trajectory-neutral (see
-  /// docs/PERF.md). The per-rank particle state lives in
-  /// DpdSystem::save_state.
+  /// Checkpoint the driver: process grid + halo width (validated on load)
+  /// and the distributed flag. Plans and displacement references are not
+  /// stored, so load forces a full rebuild at the next refresh, which is
+  /// trajectory-neutral (see docs/PERF.md). The per-rank particle state
+  /// lives in DpdSystem::save_state.
   void save_state(resilience::BlobWriter& w) const;
   void load_state(resilience::BlobReader& r);
 
@@ -113,7 +95,8 @@ private:
   // analyze: no-checkpoint (borrowed engine; checkpoints separately)
   DpdSystem& sys_;
   DistOptions opt_;  ///< layout + halo width; serialised for restart validation
-  Decomposition decomp_;  ///< geometry from opt_; moved cut planes serialised
+  // analyze: no-checkpoint (fixed geometry derived from opt_, which is serialised)
+  Decomposition decomp_;
   // analyze: no-checkpoint (stateless protocol object)
   MigrationExchanger migrate_;
   // analyze: no-checkpoint (plans rebuilt by the forced post-load rebuild)
@@ -123,8 +106,6 @@ private:
   bool rebuild_pending_ = false;
   // analyze: no-checkpoint (displacement reference, recaptured at every rebuild)
   std::vector<Vec3> ref_pos_;
-  // analyze: no-checkpoint (replicated cadence counter; restart restarts it identically everywhere)
-  std::uint64_t refresh_count_ = 0;
 };
 
 }  // namespace dpd::exchange

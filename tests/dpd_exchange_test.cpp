@@ -61,6 +61,10 @@ TEST(Decomposition, RankOfPositionRoundTripsAndWraps) {
   EXPECT_EQ(d.rank_of_position({1.0, 1.0, 5.0}), d.rank_of_position({21.0, 1.0, 5.0}));
   // non-periodic z: points beyond the wall clamp into the boundary slab
   EXPECT_EQ(d.rank_of_position({1.0, 1.0, -3.0}), d.rank_of_position({1.0, 1.0, 0.1}));
+  // slab edges: a subdomain's lower corner is owned by that subdomain, also
+  // where the uniform cut is not exactly representable (20 / 3)
+  Decomposition t(box, {true, true, false}, {3, 1, 1}, 1.3);
+  for (int r = 0; r < t.nranks(); ++r) EXPECT_EQ(t.rank_of_position(t.subdomain(r).lo), r);
 }
 
 TEST(Decomposition, NeighborsAreSymmetricSortedAndExcludeSelf) {
@@ -83,58 +87,6 @@ TEST(Decomposition, Dist2ToSubdomainUsesMinimumImage) {
   EXPECT_NEAR(d.dist2_to_subdomain({19.9, 5.0, 5.0}, 0), 0.01, 1e-12);
   EXPECT_TRUE(d.in_halo_of({19.9, 5.0, 5.0}, 0));
   EXPECT_FALSE(d.in_halo_of({15.0, 5.0, 5.0}, 0));
-}
-
-// --------------------------------------------------- movable cut planes
-
-TEST(Decomposition, SetBoundsMovesOwnershipAndValidates) {
-  Decomposition d({20.0, 10.0, 10.0}, {true, true, false}, {2, 1, 1}, 1.3);
-  EXPECT_EQ(d.bounds(0), (std::vector<double>{0.0, 10.0, 20.0}));
-  d.set_bounds(0, {0.0, 12.5, 20.0});
-  EXPECT_EQ(d.rank_of_position({11.0, 5.0, 5.0}), 0);
-  EXPECT_EQ(d.rank_of_position({13.0, 5.0, 5.0}), 1);
-  EXPECT_NEAR(d.subdomain(0).hi.x, 12.5, 1e-12);
-  EXPECT_THROW(d.set_bounds(3, {0.0, 10.0, 20.0}), std::invalid_argument);
-  EXPECT_THROW(d.set_bounds(0, {0.0, 20.0}), std::invalid_argument);          // wrong count
-  EXPECT_THROW(d.set_bounds(0, {1.0, 10.0, 20.0}), std::invalid_argument);    // span
-  EXPECT_THROW(d.set_bounds(0, {0.0, 0.0, 20.0}), std::invalid_argument);     // not ascending
-}
-
-TEST(Decomposition, RebalanceMovesCutsTowardEqualCountsWithBoundedShift) {
-  const double halo = 1.3;
-  Decomposition d({20.0, 10.0, 10.0}, {true, true, false}, {2, 1, 1}, halo);
-  std::array<std::vector<double>, 3> hist;
-  hist[0].assign(8, 0.0);
-  hist[0][0] = hist[0][1] = 100.0;  // all mass in x < 5: equal-count cut is 2.5
-  ASSERT_TRUE(d.rebalance(hist));
-  const double cut1 = d.bounds(0)[1];
-  EXPECT_LT(cut1, 10.0);                           // moved toward the mass
-  EXPECT_NEAR(cut1, 10.0 - 0.9 * halo, 1e-9);      // but clamped to the halo-bounded step
-  ASSERT_TRUE(d.rebalance(hist));
-  EXPECT_LT(d.bounds(0)[1], cut1);                 // repeated calls keep converging
-  // a balanced histogram leaves an already-uniform layout untouched
-  Decomposition u({20.0, 10.0, 10.0}, {true, true, false}, {2, 1, 1}, halo);
-  std::array<std::vector<double>, 3> flat;
-  flat[0].assign(8, 50.0);
-  EXPECT_FALSE(u.rebalance(flat));
-  EXPECT_EQ(u.bounds(0), (std::vector<double>{0.0, 10.0, 20.0}));
-}
-
-TEST(Decomposition, RebalanceKeepsSingleSlabAxesAndRespectsMinGap) {
-  Decomposition d({20.0, 10.0, 10.0}, {true, true, false}, {2, 1, 1}, 1.3);
-  std::array<std::vector<double>, 3> hist;
-  hist[1].assign(8, 10.0);  // y has one slab: nothing to move
-  EXPECT_FALSE(d.rebalance(hist));
-  // driving the cut repeatedly toward zero must stop at the minimum slab
-  // width, never produce an inverted or empty slab
-  std::array<std::vector<double>, 3> skew;
-  skew[0].assign(8, 0.0);
-  skew[0][0] = 1.0;
-  for (int it = 0; it < 64; ++it) d.rebalance(skew);
-  const auto& b = d.bounds(0);
-  EXPECT_GT(b[1], 0.0);
-  EXPECT_GT(b[2] - b[1], 0.5 * std::min(1.3, 10.0) - 1e-12);
-  EXPECT_GT(b[1] - b[0], 0.5 * std::min(1.3, 10.0) - 1e-12);
 }
 
 // -------------------------------------------------- the equivalence gate
@@ -220,6 +172,7 @@ TEST(ExchangeEquivalence, RestartAcrossMidRunCheckpointIsBitwiseEqual) {
     resilience::BlobReader r(blob);
     sys->load_state(r);
     drv.load_state(r);
+    r.expect_end();
     for (int s = 0; s < post; ++s) sys->step();
     const std::uint64_t d = drv.global_digest();
     if (world.rank() == 0) out = d;
@@ -227,9 +180,9 @@ TEST(ExchangeEquivalence, RestartAcrossMidRunCheckpointIsBitwiseEqual) {
   EXPECT_EQ(out, ref);
 }
 
-TEST(ExchangeRestart, CorruptCutPlaneCountThrowsCorruptError) {
-  // A garbage cut-plane count must be rejected as a corrupt checkpoint
-  // before anything is allocated from it.
+TEST(ExchangeRestart, TruncatedDriverBlobThrowsCorruptError) {
+  // A driver blob cut short inside the halo-width field must be rejected as
+  // a corrupt checkpoint, not read past its end.
   xmp::run(1, [](xmp::Comm& world) {
     auto sys = make_channel_system();
     DistributedDpd drv(world, *sys);
@@ -237,18 +190,18 @@ TEST(ExchangeRestart, CorruptCutPlaneCountThrowsCorruptError) {
     resilience::BlobWriter w;
     drv.save_state(w);
     std::vector<std::uint8_t> blob = w.take();
-    // layout: 3 x i32 dims, f64 halo width, u8 distributed flag, then the
-    // x-axis cut planes as a little-endian u64 count + doubles
-    constexpr std::size_t kCountAt = 3 * sizeof(std::int32_t) + sizeof(double) + 1;
-    ASSERT_EQ(blob[kCountAt], drv.decomposition().bounds(0).size());
-    std::fill_n(blob.begin() + kCountAt, sizeof(std::uint64_t), std::uint8_t{0xFF});
+    // layout: 3 x i32 dims, f64 halo width, u8 distributed flag — nothing else
+    constexpr std::size_t kHaloAt = 3 * sizeof(std::int32_t);
+    ASSERT_EQ(blob.size(), kHaloAt + sizeof(double) + 1);
+    blob.resize(kHaloAt + sizeof(double) / 2);
     resilience::BlobReader r(blob);
     EXPECT_THROW(drv.load_state(r), resilience::CorruptError);
   });
 }
 
 // Replicated deterministic setup with all particles crowded into x < 6 —
-// the worst case for a uniform x-split (one rank owns everything).
+// the worst case for a uniform x-split: the upper half of the ranks starts
+// out owning nothing.
 std::shared_ptr<dpd::DpdSystem> make_skewed_system() {
   const auto prm = channel_params();
   auto sys = std::make_shared<dpd::DpdSystem>(prm, std::make_shared<dpd::ChannelZ>(prm.box.z));
@@ -261,45 +214,11 @@ std::shared_ptr<dpd::DpdSystem> make_skewed_system() {
   return sys;
 }
 
-TEST(ExchangeRebalance, SkewedRunMovesCutsAndStaysBitwiseEqual) {
-  // Particle-count load balancing is trajectory-neutral: shifting the cut
-  // planes forces a rebuild under a different ownership layout, but the
-  // digest must still match the single-rank run bitwise — while the cuts
-  // demonstrably moved off the uniform layout.
-  const int steps = 30;
-  std::uint64_t ref = 0;
-  {
-    auto sys = make_skewed_system();
-    for (int s = 0; s < steps; ++s) sys->step();
-    ref = trajectory_digest(*sys);
-  }
-  std::uint64_t out = 0;
-  std::vector<double> cuts_after;
-  xmp::run(2, [&](xmp::Comm& world) {
-    auto sys = make_skewed_system();
-    DistOptions opt;
-    opt.dims = {2, 1, 1};
-    opt.rebalance_every = 5;
-    DistributedDpd drv(world, *sys, opt);
-    drv.distribute();
-    for (int s = 0; s < steps; ++s) sys->step();
-    const std::uint64_t d = drv.global_digest();
-    if (world.rank() == 0) {
-      out = d;
-      cuts_after = drv.decomposition().bounds(0);
-    }
-  });
-  EXPECT_EQ(out, ref);
-  ASSERT_EQ(cuts_after.size(), 3u);
-  EXPECT_LT(cuts_after[1], 6.0 - 0.5)
-      << "the empty-half skew should have pulled the x cut well below uniform";
-}
-
-TEST(ExchangeRebalance, RestartAfterRebalanceRestoresMovedCuts) {
-  // A checkpoint taken *after* cuts moved must restore the moved layout:
-  // restarting under uniform cuts would migrate the whole population on the
-  // first refresh and can violate the neighbour-shell bound. The digest gate
-  // doubles as the trajectory check.
+TEST(ExchangeEquivalence, SkewedPopulationWithEmptyRanksIsBitwiseEqual) {
+  // Ranks that own no particle still enter every collective, exchange
+  // halos and checkpoint. Under the fixed uniform x-split the run must stay
+  // bitwise equal to single-rank, straight through and across a mid-run
+  // checkpoint/restart.
   const int pre = 12, post = 12;
   std::uint64_t ref = 0;
   {
@@ -307,41 +226,50 @@ TEST(ExchangeRebalance, RestartAfterRebalanceRestoresMovedCuts) {
     for (int s = 0; s < pre + post; ++s) sys->step();
     ref = trajectory_digest(*sys);
   }
-  std::uint64_t out = 0;
-  bool cuts_restored = false;
-  xmp::run(2, [&](xmp::Comm& world) {
+  for (int nranks : {2, 4}) {
     DistOptions opt;
-    opt.dims = {2, 1, 1};
-    opt.rebalance_every = 3;
-    std::vector<std::uint8_t> blob;
-    std::vector<double> cuts_at_save;
-    {
+    opt.dims = {nranks, 1, 1};
+    std::int64_t min_owned = -1;
+    std::uint64_t straight = 0, restarted = 0;
+    xmp::run(nranks, [&](xmp::Comm& world) {
+      {
+        auto sys = make_skewed_system();
+        DistributedDpd drv(world, *sys, opt);
+        drv.distribute();
+        const auto owned = world.allreduce(static_cast<std::int64_t>(sys->owned_count()),
+                                           xmp::Op::Min);
+        for (int s = 0; s < pre + post; ++s) sys->step();
+        const std::uint64_t d = drv.global_digest();
+        if (world.rank() == 0) {
+          min_owned = owned;
+          straight = d;
+        }
+      }
+      std::vector<std::uint8_t> blob;
+      {
+        auto sys = make_skewed_system();
+        DistributedDpd drv(world, *sys, opt);
+        drv.distribute();
+        for (int s = 0; s < pre; ++s) sys->step();
+        resilience::BlobWriter w;
+        sys->save_state(w);
+        drv.save_state(w);
+        blob = w.take();
+      }
       auto sys = make_skewed_system();
       DistributedDpd drv(world, *sys, opt);
-      drv.distribute();
-      for (int s = 0; s < pre; ++s) sys->step();
-      cuts_at_save = drv.decomposition().bounds(0);
-      resilience::BlobWriter w;
-      sys->save_state(w);
-      drv.save_state(w);
-      blob = w.take();
-    }
-    auto sys = make_skewed_system();
-    DistributedDpd drv(world, *sys, opt);
-    resilience::BlobReader r(blob);
-    sys->load_state(r);
-    drv.load_state(r);
-    const bool restored = drv.decomposition().bounds(0) == cuts_at_save &&
-                          cuts_at_save != std::vector<double>{0.0, 6.0, 12.0};
-    for (int s = 0; s < post; ++s) sys->step();
-    const std::uint64_t d = drv.global_digest();
-    if (world.rank() == 0) {
-      out = d;
-      cuts_restored = restored;
-    }
-  });
-  EXPECT_EQ(out, ref);
-  EXPECT_TRUE(cuts_restored) << "load_state must restore the post-rebalance cut planes";
+      resilience::BlobReader r(blob);
+      sys->load_state(r);
+      drv.load_state(r);
+      r.expect_end();
+      for (int s = 0; s < post; ++s) sys->step();
+      const std::uint64_t d = drv.global_digest();
+      if (world.rank() == 0) restarted = d;
+    });
+    EXPECT_EQ(min_owned, 0) << nranks << " ranks: the skew must leave a rank empty";
+    EXPECT_EQ(straight, ref) << nranks << " ranks, straight through";
+    EXPECT_EQ(restarted, ref) << nranks << " ranks, across restart";
+  }
 }
 
 // ----------------------------------------------- migration & diagnostics

@@ -37,6 +37,22 @@ TEST(Xmp, PingPong) {
   });
 }
 
+TEST(Xmp, ZeroLengthRecvReturnsEmpty) {
+  // An empty message is legal (a halo with nothing to ship) and must come
+  // back as an empty vector without touching either buffer.
+  xmp::run(2, [](xmp::Comm& world) {
+    if (world.rank() == 0) {
+      world.send(1, 3, std::vector<double>{});
+      world.send(1, 4, std::vector<double>{5.0});
+    } else {
+      EXPECT_TRUE(world.recv<double>(0, 3).empty());
+      const auto after = world.recv<double>(0, 4);
+      ASSERT_EQ(after.size(), 1u);
+      EXPECT_EQ(after[0], 5.0);
+    }
+  });
+}
+
 TEST(Xmp, TagMatchingOutOfOrder) {
   // A message with a later tag must not be consumed by an earlier recv.
   xmp::run(2, [](xmp::Comm& world) {
