@@ -13,14 +13,16 @@ void NeighborList::configure(const NeighborParams& p) {
 }
 
 bool NeighborList::ensure(const SoA3& pos) {
-  if (valid_ && pos.size() == ref_pos_.size()) {
+  const std::size_t n_ref = ref_pos_.size();
+  if (valid_ && pos.size() >= n_ref) {
     // Verlet criterion: the list is a superset of the interacting pairs as
-    // long as no particle has moved farther than skin/2 since the build.
+    // long as no particle has moved farther than skin/2 from its reference.
     const double lim2 = 0.25 * prm_.skin * prm_.skin;
     bool ok = prm_.skin > 0.0;
-    for (std::size_t i = 0; ok && i < pos.size(); ++i)
+    for (std::size_t i = 0; ok && i < n_ref; ++i)
       if (min_image(ref_pos_[i], pos[i]).norm2() > lim2) ok = false;
     if (ok) {
+      if (pos.size() > n_ref) splice(pos);
       ++reuses_;
       telemetry::count("dpd.nlist.reuse");
       return false;
@@ -31,6 +33,90 @@ bool NeighborList::ensure(const SoA3& pos) {
   ++rebuilds_;
   telemetry::count("dpd.nlist.rebuild");
   return true;
+}
+
+void NeighborList::on_remap(const std::vector<long>& new_index) {
+  if (!valid_) return;
+  const std::size_t n_ref = ref_pos_.size();
+  if (new_index.size() < n_ref) throw std::invalid_argument("NeighborList: remap too short");
+  telemetry::count("dpd.nlist.remap");
+  // One in-place pass: rows and entries only move left, and an
+  // order-preserving renumbering keeps every run ascending.
+  std::size_t w = 0, r = 0;
+  for (std::size_t i = 0; i < n_ref; ++i) {
+    const std::size_t lo = offsets_[i], hi = offsets_[i + 1];
+    if (new_index[i] < 0) continue;
+    offsets_[r] = w;
+    for (std::size_t k = lo; k < hi; ++k) {
+      const long j = new_index[neighbors_[k]];
+      if (j >= 0) neighbors_[w++] = static_cast<std::uint32_t>(j);
+    }
+    ref_pos_.set(r++, ref_pos_.get(i));
+  }
+  offsets_.resize(r + 1);
+  offsets_[r] = w;
+  neighbors_.resize(w);
+  ref_pos_.resize(r);
+  std::fill(cell_head_.begin(), cell_head_.end(), -1);
+  cell_next_.assign(r, -1);
+  for (std::size_t i = 0; i < r; ++i) bin(i);
+}
+
+void NeighborList::splice(const SoA3& pos) {
+  const std::size_t n_ref = ref_pos_.size(), n = pos.size();
+  if (ghost_ && ghost_->size() < n)
+    throw std::invalid_argument("NeighborList: pair-filter mask smaller than position array");
+  telemetry::count("dpd.nlist.splice", static_cast<double>(n - n_ref));
+  const double rcut = prm_.rc + prm_.skin;
+  const double rcut2 = rcut * rcut;
+  ref_pos_.resize(n);
+  cell_next_.resize(n, -1);
+  // Each newcomer t takes its current position as reference and pairs with
+  // every listed j < t (including earlier newcomers) within rc + skin.
+  auto& pairs = pair_scratch_;
+  pairs.clear();
+  for (std::size_t t = n_ref; t < n; ++t) {
+    const Vec3 p = pos[t];
+    ref_pos_.set(t, p);
+    for_each_binned_near(p, rcut, [&](std::size_t j) {
+      if (keep(j, t) && min_image(ref_pos_[j], p).norm2() < rcut2)
+        pairs.emplace_back(static_cast<std::uint32_t>(j), static_cast<std::uint32_t>(t));
+    });
+    bin(t);
+  }
+
+  // Merge: t exceeds every index already in row j, so (j, t) goes at the end
+  // of that row. Rows shift right by the new pairs in front of them; walk
+  // them from the back so each moves once, stopping once nothing is left.
+  std::sort(pairs.begin(), pairs.end());
+  std::size_t hi = neighbors_.size(), w = hi + pairs.size(), k = pairs.size();
+  neighbors_.resize(w);
+  offsets_.resize(n + 1, hi);
+  offsets_[n] = w;
+  for (std::size_t i = n; k > 0;) {
+    --i;
+    while (k > 0 && pairs[k - 1].first == i) neighbors_[--w] = pairs[--k].second;
+    const std::size_t lo = offsets_[i];
+    if (w != hi)
+      std::copy_backward(neighbors_.begin() + static_cast<long>(lo),
+                         neighbors_.begin() + static_cast<long>(hi),
+                         neighbors_.begin() + static_cast<long>(w));
+    w -= hi - lo;
+    hi = lo;
+    offsets_[i] = w;
+  }
+}
+
+void NeighborList::bin(std::size_t i) {
+  Vec3 p = ref_pos_[i];
+  wrap(p);
+  const int cx = cell_coord(p.x, prm_.box.x, ncx_);
+  const int cy = cell_coord(p.y, prm_.box.y, ncy_);
+  const int cz = cell_coord(p.z, prm_.box.z, ncz_);
+  const std::size_t c =
+      (static_cast<std::size_t>(cz) * ncy_ + cy) * static_cast<std::size_t>(ncx_) + cx;
+  cell_next_[i] = cell_head_[c];
+  cell_head_[c] = static_cast<long>(i);
 }
 
 void NeighborList::build(const SoA3& pos) {
@@ -51,29 +137,13 @@ void NeighborList::build(const SoA3& pos) {
   csz_ = prm_.box.z / ncz_;
   cell_head_.assign(static_cast<std::size_t>(ncx_) * ncy_ * ncz_, -1);
   cell_next_.assign(n, -1);
-  for (std::size_t i = 0; i < n; ++i) {
-    Vec3 p = pos[i];
-    wrap(p);
-    const int cx = cell_coord(p.x, prm_.box.x, ncx_);
-    const int cy = cell_coord(p.y, prm_.box.y, ncy_);
-    const int cz = cell_coord(p.z, prm_.box.z, ncz_);
-    const std::size_t c =
-        (static_cast<std::size_t>(cz) * ncy_ + cy) * static_cast<std::size_t>(ncx_) + cx;
-    cell_next_[i] = cell_head_[c];
-    cell_head_[c] = static_cast<long>(i);
-  }
+  for (std::size_t i = 0; i < n; ++i) bin(i);
 
   // A periodic dimension with fewer than 3 cells breaks the half-stencil's
   // visit-each-pair-once guarantee; enumerate directly for such tiny boxes
   // (the grid stays usable for point queries, which dedupe cells).
   degenerate_ = (prm_.periodic[0] && ncx_ < 3) || (prm_.periodic[1] && ncy_ < 3) ||
                 (prm_.periodic[2] && ncz_ < 3);
-
-  // Decomposition filter: drop both-ghost pairs (neither member is owned
-  // here, so this rank must not compute them).
-  auto keep = [this](std::uint32_t a, std::uint32_t b) {
-    return !ghost_ || !((*ghost_)[a] != 0 && (*ghost_)[b] != 0);
-  };
 
   auto& pairs = pair_scratch_;
   pairs.clear();

@@ -4,24 +4,33 @@
 // the particles; from it we build a half neighbor list (each pair stored
 // once, under its lower index, runs sorted ascending) that is *reused*
 // across force evaluations until any particle has moved farther than
-// skin/2 from its position at build time — the classic Verlet-list
-// criterion that guarantees no interacting pair (r < rc) is ever missed.
+// skin/2 from its reference position — the classic Verlet-list criterion
+// that guarantees no interacting pair (r < rc) is ever missed.
+//
+// The list invariant: the CSR holds every pair (i < j) whose *reference*
+// positions lie within rc + skin, where a particle's reference position is
+// where it stood when it entered the list (at a build, or at a splice).
+// The list therefore survives the open-boundary churn of the flux BC:
+// deletion remaps it (drop dead rows and entries, renumber, re-bin), and
+// particles appended since the last ensure() are spliced in at the next
+// one (each new pair lands at the end of its row, since the newcomer holds
+// the highest index so far).
 //
 // The canonical (i ascending, j ascending within each run) pair ordering is
 // load-bearing: the force loop skips out-of-range pairs entirely, so the
 // floating-point summation order of the *contributing* pairs is a function
-// of the particle state alone, not of when the list was last rebuilt. That
-// is what keeps checkpoint/restart bitwise identical even though a restart
-// rebuilds the list while an uninterrupted run may still be reusing an
-// older (valid) one. Under spatial decomposition (exchange/) the same
-// property extends across ranks: local arrays are kept sorted by global
-// particle ID, so index order == gid order and every rank accumulates an
-// owned particle's pair forces in exactly the single-rank order.
+// of the particle state alone, not of when the list was last rebuilt,
+// remapped or spliced. That is what keeps checkpoint/restart bitwise
+// identical even though a restart rebuilds the list while an uninterrupted
+// run may still be reusing an older (valid) one. Under spatial
+// decomposition (exchange/) the same property extends across ranks: local
+// arrays are kept sorted by global particle ID, so index order == gid order
+// and every rank accumulates an owned particle's pair forces in exactly the
+// single-rank order.
 //
 // Positions are structure-of-arrays (soa.hpp); build/ensure/query stream
-// the flat x/y/z lanes. An optional ghost-pair filter drops pairs no rank
-// is responsible for (both-ghost pairs, or — in the reverse-exchange mode —
-// pairs whose lower member is a ghost).
+// the flat x/y/z lanes. An optional ghost-pair filter drops the both-ghost
+// pairs no rank is responsible for.
 //
 // The same cell grid serves point queries (query()) for sparse secondary
 // scans — platelet adhesion and thrombus-arrest checks — which would
@@ -63,22 +72,27 @@ public:
     invalidate();
   }
 
-  /// Make the list valid for `pos`: reuse it when every particle has moved
-  /// less than skin/2 since the last build, rebuild otherwise. Returns true
-  /// iff a rebuild happened.
+  /// Make the list valid for `pos`: reuse it when every referenced particle
+  /// has moved less than skin/2 from its reference position, rebuild
+  /// otherwise. Particles appended since the last call (indices at or above
+  /// the reference count) are spliced into a reused list. Returns true iff
+  /// a rebuild happened.
   bool ensure(const SoA3& pos);
 
-  /// Drop the list (particle insertion/deletion, wholesale state reload).
+  /// Drop the list (wholesale state reload, geometry or filter change).
   void invalidate() { valid_ = false; }
-  /// ForceModule-style remap hook: indices changed, the list is meaningless.
-  void on_remap(const std::vector<long>& new_index) {
-    (void)new_index;
-    invalidate();
-  }
+  /// ForceModule-style remap hook for an order-preserving compaction
+  /// (new_index[i] = new slot of particle i, -1 if deleted): a valid list
+  /// drops the dead rows and entries, renumbers the survivors and re-bins
+  /// the grid, and stays valid. Particles appended since the last ensure()
+  /// stay in the unspliced tail.
+  void on_remap(const std::vector<long>& new_index);
   bool valid() const { return valid_; }
 
   // --- stats (telemetry mirrors these as dpd.nlist.* counters) ---
   std::uint64_t rebuilds() const { return rebuilds_; }
+  /// Force evaluations served without a rebuild (including those that only
+  /// spliced in new particles).
   std::uint64_t reuses() const { return reuses_; }
   std::size_t pair_count() const { return neighbors_.size(); }
   /// True when a periodic dimension has < 3 cells and the pair list had to
@@ -123,20 +137,39 @@ public:
   /// Visit every particle within `cutoff` of point `p` (current positions):
   /// fn(j, dr = xj - p minimum image, r2). Walks only the grid cells that
   /// can hold such a particle, padding the search radius by skin/2 because
-  /// the grid bins build-time positions. The caller must have ensure()d the
-  /// list against the same position array.
+  /// the grid bins reference positions; particles appended since the last
+  /// ensure() are not binned yet and are scanned directly. The caller must
+  /// have ensure()d the list against the same position array.
   template <class Fn>
   void query(const SoA3& pos, const Vec3& p, double cutoff, Fn&& fn) const {
     const double c2 = cutoff * cutoff;
-    if (!valid_) {
-      for (std::size_t j = 0; j < pos.size(); ++j) {
-        const Vec3 dr = min_image(p, pos[j]);
-        const double r2 = dr.norm2();
-        if (r2 <= c2) fn(j, dr, r2);
-      }
-      return;
-    }
-    const double pad = cutoff + 0.5 * prm_.skin;
+    auto visit = [&](std::size_t j) {
+      const Vec3 dr = min_image(p, pos[j]);
+      const double r2 = dr.norm2();
+      if (r2 <= c2) fn(j, dr, r2);
+    };
+    const std::size_t binned = valid_ ? ref_pos_.size() : 0;
+    if (valid_) for_each_binned_near(p, cutoff + 0.5 * prm_.skin, visit);
+    for (std::size_t j = binned; j < pos.size(); ++j) visit(j);
+  }
+
+private:
+  void build(const SoA3& pos);
+  /// Append the particles [ref_pos_.size(), pos.size()) to a valid list.
+  void splice(const SoA3& pos);
+  /// Link particle i into the grid cell holding its reference position.
+  void bin(std::size_t i);
+  /// Decomposition filter: false for both-ghost pairs (neither member is
+  /// owned here, so this rank must not compute them).
+  bool keep(std::size_t a, std::size_t b) const {
+    return !ghost_ || !((*ghost_)[a] != 0 && (*ghost_)[b] != 0);
+  }
+
+  /// Visit every binned particle in the grid cells that can hold points
+  /// within `pad` of `p`: fn(j). Each cell is walked once, also when a
+  /// dimension has too few cells for the +-reach window to be distinct.
+  template <class Fn>
+  void for_each_binned_near(const Vec3& p, double pad, Fn&& fn) const {
     Vec3 q = p;
     wrap(q);
     const int bx = cell_coord(q.x, prm_.box.x, ncx_);
@@ -150,16 +183,10 @@ public:
         for (int c : cx) {
           const std::size_t cell =
               (static_cast<std::size_t>(a) * ncy_ + b) * static_cast<std::size_t>(ncx_) + c;
-          for (long j = cell_head_[cell]; j >= 0; j = cell_next_[static_cast<std::size_t>(j)]) {
-            const Vec3 dr = min_image(p, pos[static_cast<std::size_t>(j)]);
-            const double r2 = dr.norm2();
-            if (r2 <= c2) fn(static_cast<std::size_t>(j), dr, r2);
-          }
+          for (long j = cell_head_[cell]; j >= 0; j = cell_next_[static_cast<std::size_t>(j)])
+            fn(static_cast<std::size_t>(j));
         }
   }
-
-private:
-  void build(const SoA3& pos);
 
   void wrap(Vec3& p) const {
     auto wrap1 = [](double v, double L) {
@@ -208,12 +235,12 @@ private:
   // optional decomposition pair filter (see set_pair_filter)
   const std::vector<char>* ghost_ = nullptr;
 
-  // cell grid over build-time positions
+  // cell grid over reference positions
   int ncx_ = 0, ncy_ = 0, ncz_ = 0;
   double csx_ = 0.0, csy_ = 0.0, csz_ = 0.0;
   std::vector<long> cell_head_, cell_next_;
 
-  SoA3 ref_pos_;  ///< positions at build time (rebuild trigger)
+  SoA3 ref_pos_;  ///< reference positions (rebuild trigger); size = listed particles
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> neighbors_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;

@@ -57,7 +57,6 @@ std::size_t DpdSystem::add_particle(const Vec3& pos, const Vec3& vel, Species s)
   is_ghost_.push_back(0);
   gid_to_local_[next_gid_] = static_cast<std::uint32_t>(pos_.size() - 1);
   ++next_gid_;
-  nlist_.invalidate();
   return pos_.size() - 1;
 }
 

@@ -113,13 +113,16 @@ public:
   const Geometry& geometry() const { return *geom_; }
 
   // --- population ---
+  /// Append one particle (next gid, highest index); returns its index. The
+  /// neighbor list is kept: the next force evaluation splices it in.
   std::size_t add_particle(const Vec3& pos, const Vec3& vel, Species s);
   /// Fill the fluid region (sdf > margin) with `density` particles per unit
   /// volume at Maxwellian velocities; returns number inserted.
   std::size_t fill(double density, Species s, unsigned seed = 7, double margin = 0.0);
-  /// Remove particles by index (order-irrelevant); modules are remapped.
-  /// Global IDs of surviving particles are preserved, so the pair-RNG
-  /// stream of every surviving pair is unchanged by the compaction.
+  /// Remove particles by index (order-irrelevant); the neighbor list and
+  /// modules are remapped (surviving order is kept). Global IDs of
+  /// surviving particles are preserved, so the pair-RNG stream of every
+  /// surviving pair is unchanged by the compaction.
   void remove_particles(std::vector<std::size_t> idx);
 
   std::size_t size() const { return pos_.size(); }

@@ -1,9 +1,10 @@
 // Verlet neighbor-list equivalence suite: the fast pair paths (CSR list,
 // grid point queries) must agree exactly with direct
 // O(N^2) enumeration across periodicities, skins, degenerate boxes, and
-// particle insertion/deletion — and checkpoint/restart must stay bitwise
-// identical even though a restart rebuilds a list the uninterrupted run was
-// still reusing (docs/PERF.md explains why that is non-trivial).
+// particle insertion/deletion (remap + splice) — and checkpoint/restart must
+// stay bitwise identical even though a restart rebuilds a list the
+// uninterrupted run was still reusing (docs/PERF.md explains why that is
+// non-trivial).
 
 #include <gtest/gtest.h>
 
@@ -51,6 +52,36 @@ std::vector<Pair> list_pairs(const dpd::NeighborList& nl, const dpd::SoA3& pos) 
   return out;
 }
 
+/// The canonical CSR layout: each pair once, under its lower index, runs
+/// sorted strictly ascending.
+void expect_canonical(const dpd::NeighborList& nl, std::size_t n) {
+  const auto& offs = nl.offsets();
+  const auto& nbr = nl.neighbors();
+  ASSERT_EQ(offs.size(), n + 1);
+  ASSERT_EQ(offs.back(), nbr.size());
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = offs[i]; k < offs[i + 1]; ++k) {
+      EXPECT_GT(nbr[k], i);
+      if (k > offs[i]) {
+        EXPECT_GT(nbr[k], nbr[k - 1]);
+      }
+    }
+}
+
+/// Order-preserving compaction of `pos` without the (sorted) indices in
+/// `dead`, as DpdSystem::remove_particles does; returns the index map.
+std::vector<long> remove_sorted(dpd::SoA3& pos, const std::vector<std::size_t>& dead) {
+  std::vector<long> new_index(pos.size(), -1);
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    if (std::binary_search(dead.begin(), dead.end(), i)) continue;
+    new_index[i] = static_cast<long>(w);
+    pos.set(w++, pos.get(i));
+  }
+  pos.resize(w);
+  return new_index;
+}
+
 /// Bitwise fingerprint of the full particle state.
 std::vector<std::uint8_t> state_of(const dpd::DpdSystem& sys) {
   resilience::BlobWriter w;
@@ -95,16 +126,7 @@ TEST(NeighborList, CsrRunsAreCanonical) {
   dpd::NeighborList nl(prm);
   const auto pos = random_positions(300, prm.box, 23);
   nl.ensure(pos);
-  const auto& offs = nl.offsets();
-  const auto& nbr = nl.neighbors();
-  ASSERT_EQ(offs.size(), pos.size() + 1);
-  for (std::size_t i = 0; i + 1 < offs.size(); ++i)
-    for (std::size_t k = offs[i]; k < offs[i + 1]; ++k) {
-      EXPECT_GT(nbr[k], i);
-      if (k > offs[i]) {
-        EXPECT_GT(nbr[k], nbr[k - 1]);
-      }
-    }
+  expect_canonical(nl, pos.size());
 }
 
 TEST(NeighborList, ReuseUntilSkinExceeded) {
@@ -156,10 +178,59 @@ TEST(NeighborList, DegenerateTinyBoxFallsBack) {
   prm.rc = 1.0;
   prm.skin = 0.3;
   dpd::NeighborList nl(prm);
-  const auto pos = random_positions(60, prm.box, 26);
+  auto pos = random_positions(60, prm.box, 26);
   nl.ensure(pos);
   EXPECT_TRUE(nl.degenerate());
   EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+
+  // the splice walks the grid cells around each newcomer; here that window
+  // wraps onto itself and must still visit each cell (and pair) once
+  const auto extra = random_positions(12, prm.box, 126);
+  for (std::size_t k = 0; k < extra.size(); ++k) pos.push_back(extra.get(k));
+  EXPECT_FALSE(nl.ensure(pos));  // spliced, not rebuilt
+  EXPECT_EQ(nl.rebuilds(), 1u);
+  expect_canonical(nl, pos.size());
+  EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+}
+
+TEST(NeighborList, AddThenRemoveBeforeEnsureIsExact) {
+  // particles appended but not yet spliced sit in the tail above the
+  // reference count; a deletion in between must remap the listed part and
+  // carry the surviving tail along to the next ensure()
+  dpd::NeighborParams prm;
+  prm.box = {7.0, 6.0, 5.0};
+  prm.periodic = {true, true, false};
+  prm.skin = 0.4;
+  dpd::NeighborList nl(prm);
+  auto pos = random_positions(400, prm.box, 28);
+  EXPECT_TRUE(nl.ensure(pos));
+  const std::size_t n_ref = pos.size();
+  const auto extra = random_positions(5, prm.box, 128);
+  for (std::size_t k = 0; k < extra.size(); ++k) pos.push_back(extra.get(k));
+
+  // point queries see the unspliced tail (scanned directly) and, after the
+  // splice, find the newcomers through the grid
+  auto check_queries = [&] {
+    for (std::size_t t = n_ref - 3; t < pos.size(); ++t) {
+      std::vector<std::size_t> got, want;
+      nl.query(pos, pos.get(t), 1.0,
+               [&](std::size_t j, const dpd::Vec3&, double) { got.push_back(j); });
+      for (std::size_t j = 0; j < pos.size(); ++j)
+        if (nl.min_image(pos.get(t), pos[j]).norm2() <= 1.0) want.push_back(j);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, want) << "query around " << t;
+    }
+  };
+
+  // one listed particle and one unspliced newcomer
+  nl.on_remap(remove_sorted(pos, {123, n_ref + 2}));
+  EXPECT_TRUE(nl.valid());
+  check_queries();
+  EXPECT_FALSE(nl.ensure(pos));
+  EXPECT_EQ(nl.rebuilds(), 1u);
+  expect_canonical(nl, pos.size());
+  EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+  check_queries();
 }
 
 TEST(NeighborList, QueryMatchesBruteForce) {
@@ -317,27 +388,60 @@ TEST(DpdNeighbor, ListSurvivesRemovalAndInsertion) {
   expect_pairs_exact();
 }
 
-TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
-  // FlowBc inserts and deletes particles every step; the list must be
-  // invalidated/remapped through both paths
-  dpd::DpdParams prm;
-  prm.box = {10.0, 5.0, 5.0};
-  prm.periodic = {false, true, true};
-  prm.skin = 0.4;
-  dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
-  sys.fill(3.0, dpd::kSolvent);
+namespace {
 
-  dpd::FlowBcParams bp;
-  bp.axis = 0;
-  bp.density = 3.0;
-  bp.target_velocity = [](const dpd::Vec3&) { return dpd::Vec3{1.0, 0.0, 0.0}; };
-  dpd::FlowBc bc(bp);
+/// Open 10x5x5 channel with FlowBc inflow/outflow along x: the paper's
+/// open-boundary DPD setup in miniature (insertions and deletions most
+/// steps).
+struct OpenBox {
+  dpd::DpdSystem sys;
+  dpd::FlowBc bc;
 
-  for (int s = 0; s < 10; ++s) {
+  static dpd::DpdParams params(double skin) {
+    dpd::DpdParams prm;
+    prm.box = {10.0, 5.0, 5.0};
+    prm.periodic = {false, true, true};
+    prm.skin = skin;
+    return prm;
+  }
+  static dpd::FlowBcParams bc_params() {
+    dpd::FlowBcParams bp;
+    bp.axis = 0;
+    bp.density = 3.0;
+    bp.target_velocity = [](const dpd::Vec3&) { return dpd::Vec3{1.0, 0.0, 0.0}; };
+    return bp;
+  }
+  /// An empty box (restore target) or, with `fill`, a filled one.
+  explicit OpenBox(double skin, bool fill = true)
+      : sys(params(skin), std::make_shared<dpd::NoWalls>()), bc(bc_params()) {
+    if (fill) sys.fill(3.0, dpd::kSolvent);
+  }
+  void step() {
     sys.step();
     bc.apply(sys);
   }
-  EXPECT_GT(bc.inserted_total() + bc.deleted_total(), 0u);
+  std::vector<std::uint8_t> snapshot() const {
+    resilience::BlobWriter w;
+    sys.save_state(w);
+    bc.save_state(w);
+    return w.take();
+  }
+  void restore(const std::vector<std::uint8_t>& blob) {
+    resilience::BlobReader r(blob.data(), blob.size());
+    sys.load_state(r);
+    bc.load_state(r);
+  }
+};
+
+}  // namespace
+
+TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
+  // FlowBc inserts and deletes particles every step; the list must stay
+  // exact through both the remap (deletion) and splice (insertion) paths
+  OpenBox box(0.4);
+  auto& sys = box.sys;
+  for (int s = 0; s < 10; ++s) box.step();
+  EXPECT_GT(box.bc.inserted_total() + box.bc.deleted_total(), 0u);
 
   std::vector<Pair> fast, ref;
   sys.for_each_pair([&](std::size_t i, std::size_t j, const dpd::Vec3&, double) {
@@ -351,9 +455,9 @@ TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
 }
 
 TEST(DpdNeighbor, HeavyChurnKeepsPairSetsExact) {
-  // 100 steps of add/remove churn interleaved with stepping: every
-  // on_remap/invalidate path must leave the reused list enumerating exactly
-  // the O(N^2) reference pair set at the current positions
+  // 100 steps of add/remove churn interleaved with stepping: every remap
+  // and splice must leave the reused list enumerating exactly the O(N^2)
+  // reference pair set at the current positions
   auto prm = small_box_params(0.4);
   dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
   sys.fill(3.0, dpd::kSolvent, 41);
@@ -384,4 +488,64 @@ TEST(DpdNeighbor, HeavyChurnKeepsPairSetsExact) {
   EXPECT_GT(removed_total, 0u);
   EXPECT_GT(added_total, 0u);
   EXPECT_GT(sys.neighbor_list().reuses(), 0u);  // churn must not kill reuse entirely
+}
+
+TEST(DpdNeighbor, FlowBcChurnTrajectoryIndependentOfSkin) {
+  // skin 0 rebuilds the list at every force evaluation; skin 0.3 keeps one
+  // list alive across FlowBc deletions (remap) and insertions (splice).
+  // Any sorted superset of the interacting pairs gives the same forces, so
+  // the two trajectories must be bitwise equal.
+  OpenBox fresh(0.0), kept(0.3);
+  for (int s = 0; s < 100; ++s) {
+    fresh.step();
+    kept.step();
+  }
+  EXPECT_GT(kept.bc.inserted_total(), 0u);
+  EXPECT_GT(kept.bc.deleted_total(), 0u);
+  EXPECT_GT(kept.sys.neighbor_list().reuses(), 0u);
+  EXPECT_EQ(fresh.sys.neighbor_list().reuses(), 0u);
+  ASSERT_EQ(fresh.sys.size(), kept.sys.size());
+  EXPECT_EQ(state_of(fresh.sys), state_of(kept.sys));
+}
+
+TEST(DpdNeighbor, FlowBcMidChurnRestartIsBitwise) {
+  // checkpoint right after a force evaluation that spliced newcomers into a
+  // reused list; the restored run rebuilds from scratch and must not notice
+  OpenBox run(0.3);
+  const auto& nl = run.sys.neighbor_list();
+  bool spliced = false;
+  for (int s = 0; s < 200 && !spliced; ++s) {
+    // particles appended since the list's last ensure() (offsets has one
+    // entry per listed particle plus one)
+    const bool pending = nl.valid() && run.sys.size() + 1 > nl.offsets().size();
+    const auto rebuilds = nl.rebuilds();
+    run.step();
+    spliced = pending && nl.rebuilds() == rebuilds;
+  }
+  ASSERT_TRUE(spliced);
+  const auto blob = run.snapshot();
+  OpenBox restored(0.3, /*fill=*/false);
+  restored.restore(blob);
+  for (int s = 0; s < 20; ++s) {
+    run.step();
+    restored.step();
+  }
+  ASSERT_EQ(run.sys.size(), restored.sys.size());
+  EXPECT_EQ(state_of(run.sys), state_of(restored.sys));
+}
+
+TEST(DpdNeighbor, FlowBcChurnReusesList) {
+  // Deterministic work-counter gate: under FlowBc churn the list must be
+  // rebuilt at most at every other force evaluation (the Verlet skin, not
+  // the insert/delete events, decides). A list that is thrown away on every
+  // insertion or deletion rebuilds at nearly every step here.
+  OpenBox box(0.3);
+  for (int s = 0; s < 200; ++s) box.step();
+  const auto& nl = box.sys.neighbor_list();
+  EXPECT_GT(box.bc.inserted_total(), 0u);
+  EXPECT_GT(box.bc.deleted_total(), 0u);
+  const double frac = static_cast<double>(nl.rebuilds()) /
+                      static_cast<double>(nl.rebuilds() + nl.reuses());
+  RecordProperty("rebuild_frac", std::to_string(frac));
+  EXPECT_LE(frac, 0.5) << nl.rebuilds() << " rebuilds, " << nl.reuses() << " reuses";
 }
