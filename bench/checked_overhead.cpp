@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "telemetry/bench_report.hpp"
 #include "xmp/comm.hpp"
 
 namespace {
@@ -72,16 +73,13 @@ int main() {
   const double t_on = best_of(on);
   const double pct = 100.0 * (t_on - t_off) / t_off;
 
-  double max_pct = 10.0;
-  if (const char* v = std::getenv("NEKTARG_CHECKED_OVERHEAD_MAX_PCT")) max_pct = std::atof(v);
+  const telemetry::BenchGate gate("NEKTARG_CHECKED_OVERHEAD_MAX_PCT", 10.0,
+                                  telemetry::BenchGate::kMax);
 
   std::printf("ranks=%d iters=%d repeats=%d (best-of)\n", kRanks, kIters, kRepeats);
   std::printf("unchecked: %.4f s   checked: %.4f s\n", t_off, t_on);
-  std::printf("CHECKED_OVERHEAD_PCT=%.2f (max allowed %.1f)\n", pct, max_pct);
-  if (pct > max_pct) {
-    std::printf("FAIL: checked-mode overhead above threshold\n");
-    return 1;
-  }
+  std::printf("CHECKED_OVERHEAD_PCT=%.2f (max allowed %.1f)\n", pct, gate.threshold());
+  if (const int rc = gate.check("checked-mode overhead pct", pct)) return rc;
   std::printf("OK\n");
   return 0;
 }

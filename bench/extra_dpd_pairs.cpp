@@ -245,13 +245,10 @@ int main() {
   }
   rep.write();
 
-  double min_speedup = 1.0;
-  if (const char* v = std::getenv("NEKTARG_DPD_PAIRS_MIN_SPEEDUP")) min_speedup = std::atof(v);
-  std::printf("\nDPD_PAIRS_MIN_SPEEDUP=%.2f\n", min_speedup);
-  if (speedup < min_speedup) {
-    std::printf("FAIL: Verlet speedup below threshold\n");
-    return 1;
-  }
+  const telemetry::BenchGate gate("NEKTARG_DPD_PAIRS_MIN_SPEEDUP", 1.0,
+                                  telemetry::BenchGate::kMin);
+  std::printf("\nDPD_PAIRS_MIN_SPEEDUP=%.2f\n", gate.threshold());
+  if (const int rc = gate.check("Verlet speedup", speedup)) return rc;
   std::printf("OK\n");
   return 0;
 }

@@ -12,7 +12,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "dpd/exchange/distributed.hpp"
@@ -123,11 +122,6 @@ int main() {
   rep.meta("speedup_4r", speedup);
   rep.write();
 
-  double min = 0.0;
-  if (const char* v = std::getenv("NEKTARG_DPD_SCALING_MIN_SPEEDUP")) min = std::atof(v);
-  if (speedup < min) {
-    std::fprintf(stderr, "FAIL: speedup %.2f below gate %.2f\n", speedup, min);
-    return 1;
-  }
-  return 0;
+  return telemetry::BenchGate("NEKTARG_DPD_SCALING_MIN_SPEEDUP", 0.0, telemetry::BenchGate::kMin)
+      .check("4-rank speedup", speedup);
 }

@@ -12,7 +12,6 @@
 //        --pool N     (default 0)   xmp rank pool; 0 = serial in-process
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "scenario/ensemble.hpp"
@@ -123,13 +122,9 @@ int main(int argc, char** argv) {
   rep.meta("shared_misses", static_cast<double>(warm.shared_misses));
   rep.write();
 
-  double min_saving = 0.0;  // loose by default; CI gates at 0.20
-  if (const char* v = std::getenv("NEKTARG_ENSEMBLE_MIN_WARMSTART_SAVING"))
-    min_saving = std::atof(v);
-  std::printf("ENSEMBLE_MIN_WARMSTART_SAVING=%.2f\n", min_saving);
-  if (saving < min_saving) {
-    std::fprintf(stderr, "FAIL: warm-start saving %.3f below gate %.2f\n", saving, min_saving);
-    return 1;
-  }
-  return 0;
+  // loose by default; CI gates at 0.20
+  const telemetry::BenchGate gate("NEKTARG_ENSEMBLE_MIN_WARMSTART_SAVING", 0.0,
+                                  telemetry::BenchGate::kMin);
+  std::printf("ENSEMBLE_MIN_WARMSTART_SAVING=%.2f\n", gate.threshold());
+  return gate.check("warm-start saving", saving);
 }

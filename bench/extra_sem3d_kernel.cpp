@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "sem/hex3d.hpp"
 #include "telemetry/bench_report.hpp"
@@ -98,12 +97,7 @@ int main() {
   std::printf("(cost per element tracks the O((P+1)^4) sum-factorised bound; a naive\n"
               " dense elemental operator would scale as (P+1)^6)\n");
 
-  double min_speedup = 1.0;  // loose default: only CI pins a real threshold
-  if (const char* env = std::getenv("NEKTARG_SEM_MIN_SPEEDUP")) min_speedup = std::atof(env);
-  if (gated_min_speedup < min_speedup) {
-    std::printf("FAIL: speedup %.2f below NEKTARG_SEM_MIN_SPEEDUP=%.2f\n", gated_min_speedup,
-                min_speedup);
-    return 1;
-  }
-  return 0;
+  // loose default: only CI pins a real threshold
+  return telemetry::BenchGate("NEKTARG_SEM_MIN_SPEEDUP", 1.0, telemetry::BenchGate::kMin)
+      .check("SEM kernel speedup (min over P >= 5)", gated_min_speedup);
 }

@@ -22,7 +22,10 @@ bool NeighborList::ensure(const SoA3& pos) {
     for (std::size_t i = 0; ok && i < n_ref; ++i)
       if (min_image(ref_pos_[i], pos[i]).norm2() > lim2) ok = false;
     if (ok) {
-      if (pos.size() > n_ref) splice(pos);
+      if (pos.size() > n_ref) {
+        telemetry::count("dpd.nlist.splice", static_cast<double>(pos.size() - n_ref));
+        append(pos);
+      }
       ++reuses_;
       telemetry::count("dpd.nlist.reuse");
       return false;
@@ -62,17 +65,17 @@ void NeighborList::on_remap(const std::vector<long>& new_index) {
   for (std::size_t i = 0; i < r; ++i) bin(i);
 }
 
-void NeighborList::splice(const SoA3& pos) {
+void NeighborList::append(const SoA3& pos) {
   const std::size_t n_ref = ref_pos_.size(), n = pos.size();
   if (ghost_ && ghost_->size() < n)
     throw std::invalid_argument("NeighborList: pair-filter mask smaller than position array");
-  telemetry::count("dpd.nlist.splice", static_cast<double>(n - n_ref));
   const double rcut = prm_.rc + prm_.skin;
   const double rcut2 = rcut * rcut;
   ref_pos_.resize(n);
   cell_next_.resize(n, -1);
   // Each newcomer t takes its current position as reference and pairs with
-  // every listed j < t (including earlier newcomers) within rc + skin.
+  // every binned j < t within rc + skin; binning t only afterwards finds
+  // each pair once, from its higher index.
   auto& pairs = pair_scratch_;
   pairs.clear();
   for (std::size_t t = n_ref; t < n; ++t) {
@@ -85,26 +88,30 @@ void NeighborList::splice(const SoA3& pos) {
     bin(t);
   }
 
-  // Merge: t exceeds every index already in row j, so (j, t) goes at the end
-  // of that row. Rows shift right by the new pairs in front of them; walk
-  // them from the back so each moves once, stopping once nothing is left.
-  std::sort(pairs.begin(), pairs.end());
-  std::size_t hi = neighbors_.size(), w = hi + pairs.size(), k = pairs.size();
-  neighbors_.resize(w);
+  // Stable counting merge by row: t ascends through `pairs` and exceeds
+  // every index already listed, so each pair lands at the end of its row
+  // and every run stays ascending. Rows shift right by the new pairs of the
+  // rows in front of them; walk them from the back so each moves once,
+  // stopping where nothing moves any more.
+  auto& fill = row_fill_;
+  fill.assign(n, 0);
+  for (const auto& pr : pairs) ++fill[pr.first];
+  std::size_t hi = neighbors_.size(), shift = pairs.size();
+  neighbors_.resize(hi + shift);
   offsets_.resize(n + 1, hi);
-  offsets_[n] = w;
-  for (std::size_t i = n; k > 0;) {
-    --i;
-    while (k > 0 && pairs[k - 1].first == i) neighbors_[--w] = pairs[--k].second;
-    const std::size_t lo = offsets_[i];
-    if (w != hi)
+  offsets_[n] = hi + shift;
+  for (std::size_t i = n; shift > 0;) {
+    const std::size_t lo = offsets_[--i];
+    shift -= fill[i];
+    if (shift > 0)
       std::copy_backward(neighbors_.begin() + static_cast<long>(lo),
                          neighbors_.begin() + static_cast<long>(hi),
-                         neighbors_.begin() + static_cast<long>(w));
-    w -= hi - lo;
+                         neighbors_.begin() + static_cast<long>(hi + shift));
+    fill[i] = hi + shift;
+    offsets_[i] = lo + shift;
     hi = lo;
-    offsets_[i] = w;
   }
+  for (const auto& pr : pairs) neighbors_[fill[pr.first]++] = pr.second;
 }
 
 void NeighborList::bin(std::size_t i) {
@@ -121,14 +128,8 @@ void NeighborList::bin(std::size_t i) {
 
 void NeighborList::build(const SoA3& pos) {
   telemetry::ScopedPhase phase("dpd.nlist.build");
+  // cell grid with cells of size >= rc + skin
   const double rcut = prm_.rc + prm_.skin;
-  const double rcut2 = rcut * rcut;
-  const std::size_t n = pos.size();
-  ref_pos_ = pos;
-  if (ghost_ && ghost_->size() < n)
-    throw std::invalid_argument("NeighborList: pair-filter mask smaller than position array");
-
-  // cell grid with cells of size >= rcut
   ncx_ = std::max(1, static_cast<int>(prm_.box.x / rcut));
   ncy_ = std::max(1, static_cast<int>(prm_.box.y / rcut));
   ncz_ = std::max(1, static_cast<int>(prm_.box.z / rcut));
@@ -136,79 +137,11 @@ void NeighborList::build(const SoA3& pos) {
   csy_ = prm_.box.y / ncy_;
   csz_ = prm_.box.z / ncz_;
   cell_head_.assign(static_cast<std::size_t>(ncx_) * ncy_ * ncz_, -1);
-  cell_next_.assign(n, -1);
-  for (std::size_t i = 0; i < n; ++i) bin(i);
-
-  // A periodic dimension with fewer than 3 cells breaks the half-stencil's
-  // visit-each-pair-once guarantee; enumerate directly for such tiny boxes
-  // (the grid stays usable for point queries, which dedupe cells).
-  degenerate_ = (prm_.periodic[0] && ncx_ < 3) || (prm_.periodic[1] && ncy_ < 3) ||
-                (prm_.periodic[2] && ncz_ < 3);
-
-  auto& pairs = pair_scratch_;
-  pairs.clear();
-  if (degenerate_) {
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = i + 1; j < n; ++j) {
-        const auto a = static_cast<std::uint32_t>(i), b = static_cast<std::uint32_t>(j);
-        if (keep(a, b) && min_image(pos[i], pos[j]).norm2() < rcut2) pairs.emplace_back(a, b);
-      }
-  } else {
-    // half stencil of neighbour cell offsets (13 + same cell)
-    static constexpr int kOff[13][3] = {{1, 0, 0},  {0, 1, 0},  {0, 0, 1},  {1, 1, 0},
-                                        {1, -1, 0}, {1, 0, 1},  {1, 0, -1}, {0, 1, 1},
-                                        {0, 1, -1}, {1, 1, 1},  {1, 1, -1}, {1, -1, 1},
-                                        {1, -1, -1}};
-    auto cell_of = [this](int cx, int cy, int cz) -> long {
-      auto adjust = [](int c, int nc, bool per) -> int {
-        if (c < 0) return per ? c + nc : -1;
-        if (c >= nc) return per ? c - nc : -1;
-        return c;
-      };
-      cx = adjust(cx, ncx_, prm_.periodic[0]);
-      cy = adjust(cy, ncy_, prm_.periodic[1]);
-      cz = adjust(cz, ncz_, prm_.periodic[2]);
-      if (cx < 0 || cy < 0 || cz < 0) return -1;
-      return (static_cast<long>(cz) * ncy_ + cy) * ncx_ + cx;
-    };
-    auto push = [&](long i, long j) {
-      const auto ii = static_cast<std::size_t>(i), jj = static_cast<std::size_t>(j);
-      const auto a = static_cast<std::uint32_t>(std::min(i, j));
-      const auto b = static_cast<std::uint32_t>(std::max(i, j));
-      if (keep(a, b) && min_image(pos[ii], pos[jj]).norm2() < rcut2) pairs.emplace_back(a, b);
-    };
-    for (int cz = 0; cz < ncz_; ++cz)
-      for (int cy = 0; cy < ncy_; ++cy)
-        for (int cx = 0; cx < ncx_; ++cx) {
-          const long c = cell_of(cx, cy, cz);
-          for (long i = cell_head_[static_cast<std::size_t>(c)]; i >= 0;
-               i = cell_next_[static_cast<std::size_t>(i)])
-            for (long j = cell_next_[static_cast<std::size_t>(i)]; j >= 0;
-                 j = cell_next_[static_cast<std::size_t>(j)])
-              push(i, j);
-          for (const auto& o : kOff) {
-            const long c2 = cell_of(cx + o[0], cy + o[1], cz + o[2]);
-            if (c2 < 0 || c2 == c) continue;
-            for (long i = cell_head_[static_cast<std::size_t>(c)]; i >= 0;
-                 i = cell_next_[static_cast<std::size_t>(i)])
-              for (long j = cell_head_[static_cast<std::size_t>(c2)]; j >= 0;
-                   j = cell_next_[static_cast<std::size_t>(j)])
-                push(i, j);
-          }
-        }
-  }
-
-  // CSR by lower index, each run sorted ascending: the canonical enumeration
-  // order that makes force accumulation independent of the build moment.
-  offsets_.assign(n + 1, 0);
-  for (const auto& pr : pairs) ++offsets_[pr.first + 1];
-  for (std::size_t i = 1; i <= n; ++i) offsets_[i] += offsets_[i - 1];
-  neighbors_.resize(pairs.size());
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& pr : pairs) neighbors_[cursor[pr.first]++] = pr.second;
-  for (std::size_t i = 0; i < n; ++i)
-    std::sort(neighbors_.begin() + static_cast<long>(offsets_[i]),
-              neighbors_.begin() + static_cast<long>(offsets_[i + 1]));
+  cell_next_.clear();
+  ref_pos_.clear();
+  offsets_.assign(1, 0);
+  neighbors_.clear();
+  append(pos);
 }
 
 }  // namespace dpd

@@ -1,26 +1,31 @@
 #pragma once
 // Verlet neighbor-list engine for the DPD force path (paper Sec. 3.5: the
 // DPD-LAMMPS hot loops). A cell grid with cells of size >= rc + skin bins
-// the particles; from it we build a half neighbor list (each pair stored
-// once, under its lower index, runs sorted ascending) that is *reused*
-// across force evaluations until any particle has moved farther than
-// skin/2 from its reference position — the classic Verlet-list criterion
-// that guarantees no interacting pair (r < rc) is ever missed.
+// the particles' reference positions; from it we keep a half neighbor list
+// (each pair stored once, under its lower index, runs sorted ascending)
+// that is *reused* across force evaluations until any particle has moved
+// farther than skin/2 from its reference position — the classic
+// Verlet-list criterion that guarantees no interacting pair (r < rc) is
+// ever missed.
 //
 // The list invariant: the CSR holds every pair (i < j) whose *reference*
 // positions lie within rc + skin, where a particle's reference position is
-// where it stood when it entered the list (at a build, or at a splice).
-// The list therefore survives the open-boundary churn of the flux BC:
-// deletion remaps it (drop dead rows and entries, renumber, re-bin), and
-// particles appended since the last ensure() are spliced in at the next
-// one (each new pair lands at the end of its row, since the newcomer holds
-// the highest index so far).
+// where it stood when it entered the list. There is one way in: appending.
+// Each appended particle t is binned after pairing with the lower-index
+// particles already binned in the grid cells around it, so every pair is
+// found exactly once, from its higher index, whatever the box shape. A
+// build resets the grid and the CSR and appends every particle; on a reused
+// list, particles added since the last ensure() are appended the same way.
+// Pairs come out with t ascending, so a stable counting merge by row puts
+// each at the end of its row and every run stays sorted without a sort.
+// Deletion remaps the list (drop dead rows and entries, renumber, re-bin),
+// so the list also survives the open-boundary churn of the flux BC.
 //
 // The canonical (i ascending, j ascending within each run) pair ordering is
 // load-bearing: the force loop skips out-of-range pairs entirely, so the
 // floating-point summation order of the *contributing* pairs is a function
 // of the particle state alone, not of when the list was last rebuilt,
-// remapped or spliced. That is what keeps checkpoint/restart bitwise
+// remapped or appended to. That is what keeps checkpoint/restart bitwise
 // identical even though a restart rebuilds the list while an uninterrupted
 // run may still be reusing an older (valid) one. Under spatial
 // decomposition (exchange/) the same property extends across ranks: local
@@ -28,9 +33,9 @@
 // and every rank accumulates an owned particle's pair forces in exactly the
 // single-rank order.
 //
-// Positions are structure-of-arrays (soa.hpp); build/ensure/query stream
-// the flat x/y/z lanes. An optional ghost-pair filter drops the both-ghost
-// pairs no rank is responsible for.
+// Positions are structure-of-arrays (soa.hpp); ensure/query stream the flat
+// x/y/z lanes. An optional ghost-pair filter drops the both-ghost pairs no
+// rank is responsible for.
 //
 // The same cell grid serves point queries (query()) for sparse secondary
 // scans — platelet adhesion and thrombus-arrest checks — which would
@@ -74,9 +79,9 @@ public:
 
   /// Make the list valid for `pos`: reuse it when every referenced particle
   /// has moved less than skin/2 from its reference position, rebuild
-  /// otherwise. Particles appended since the last call (indices at or above
-  /// the reference count) are spliced into a reused list. Returns true iff
-  /// a rebuild happened.
+  /// otherwise. Particles added since the last call (indices at or above
+  /// the reference count) are appended to a reused list (a splice). Returns
+  /// true iff a rebuild happened.
   bool ensure(const SoA3& pos);
 
   /// Drop the list (wholesale state reload, geometry or filter change).
@@ -95,9 +100,6 @@ public:
   /// spliced in new particles).
   std::uint64_t reuses() const { return reuses_; }
   std::size_t pair_count() const { return neighbors_.size(); }
-  /// True when a periodic dimension has < 3 cells and the pair list had to
-  /// be built by direct O(N^2) enumeration (half-stencil double-counts).
-  bool degenerate() const { return degenerate_; }
 
   /// CSR half list: pairs of particle i live in
   /// neighbors_[offsets()[i] .. offsets()[i+1]), sorted ascending, j > i.
@@ -154,9 +156,10 @@ public:
   }
 
 private:
+  /// Reset the grid and the CSR, then append every particle.
   void build(const SoA3& pos);
-  /// Append the particles [ref_pos_.size(), pos.size()) to a valid list.
-  void splice(const SoA3& pos);
+  /// Append the particles [ref_pos_.size(), pos.size()) to the list.
+  void append(const SoA3& pos);
   /// Link particle i into the grid cell holding its reference position.
   void bin(std::size_t i);
   /// Decomposition filter: false for both-ghost pairs (neither member is
@@ -172,17 +175,18 @@ private:
   void for_each_binned_near(const Vec3& p, double pad, Fn&& fn) const {
     Vec3 q = p;
     wrap(q);
-    const int bx = cell_coord(q.x, prm_.box.x, ncx_);
-    const int by = cell_coord(q.y, prm_.box.y, ncy_);
-    const int bz = cell_coord(q.z, prm_.box.z, ncz_);
-    const std::vector<int> cx = cells_along(bx, pad, csx_, ncx_, prm_.periodic[0]);
-    const std::vector<int> cy = cells_along(by, pad, csy_, ncy_, prm_.periodic[1]);
-    const std::vector<int> cz = cells_along(bz, pad, csz_, ncz_, prm_.periodic[2]);
-    for (int a : cz)
-      for (int b : cy)
-        for (int c : cx) {
+    const CellRange cx =
+        cells_along(cell_coord(q.x, prm_.box.x, ncx_), pad, csx_, ncx_, prm_.periodic[0]);
+    const CellRange cy =
+        cells_along(cell_coord(q.y, prm_.box.y, ncy_), pad, csy_, ncy_, prm_.periodic[1]);
+    const CellRange cz =
+        cells_along(cell_coord(q.z, prm_.box.z, ncz_), pad, csz_, ncz_, prm_.periodic[2]);
+    for (int a = 0; a < cz.count; ++a)
+      for (int b = 0; b < cy.count; ++b)
+        for (int c = 0; c < cx.count; ++c) {
           const std::size_t cell =
-              (static_cast<std::size_t>(a) * ncy_ + b) * static_cast<std::size_t>(ncx_) + c;
+              (static_cast<std::size_t>(cz[a]) * ncy_ + cy[b]) * static_cast<std::size_t>(ncx_) +
+              cx[c];
           for (long j = cell_head_[cell]; j >= 0; j = cell_next_[static_cast<std::size_t>(j)])
             fn(static_cast<std::size_t>(j));
         }
@@ -203,34 +207,27 @@ private:
     return c < 0 ? 0 : (c >= n ? n - 1 : c);
   }
 
-  /// Cells along one dimension whose contents can lie within `pad` of cell
-  /// `base` (periodic wrap, each cell listed at most once).
-  static std::vector<int> cells_along(int base, double pad, double cell_size, int n, bool per) {
+  /// Cells along one dimension: `count` of them upward from `lo`, wrapping
+  /// from n - 1 to 0, each listed at most once.
+  struct CellRange {
+    int lo, count, n;
+    int operator[](int k) const { return lo + k < n ? lo + k : lo + k - n; }
+  };
+
+  /// The cells along one dimension whose contents can lie within `pad` of
+  /// cell `base`: base - reach .. base + reach (wrapped when periodic,
+  /// clipped otherwise), or all n cells in order when that window would
+  /// list a cell twice.
+  static CellRange cells_along(int base, double pad, double cell_size, int n, bool per) {
     const int reach = static_cast<int>(std::ceil(pad / cell_size));
-    std::vector<int> out;
-    if (2 * reach + 1 >= n) {
-      out.resize(static_cast<std::size_t>(n));
-      for (int c = 0; c < n; ++c) out[static_cast<std::size_t>(c)] = c;
-      return out;
-    }
-    out.reserve(static_cast<std::size_t>(2 * reach + 1));
-    for (int d = -reach; d <= reach; ++d) {
-      int c = base + d;
-      if (c < 0) {
-        if (!per) continue;
-        c += n;
-      } else if (c >= n) {
-        if (!per) continue;
-        c -= n;
-      }
-      out.push_back(c);
-    }
-    return out;
+    if (2 * reach + 1 >= n) return {0, n, n};
+    if (per) return {base < reach ? base - reach + n : base - reach, 2 * reach + 1, n};
+    const int lo = std::max(0, base - reach);
+    return {lo, std::min(n - 1, base + reach) - lo + 1, n};
   }
 
   NeighborParams prm_;
   bool valid_ = false;
-  bool degenerate_ = false;
 
   // optional decomposition pair filter (see set_pair_filter)
   const std::vector<char>* ghost_ = nullptr;
@@ -243,7 +240,8 @@ private:
   SoA3 ref_pos_;  ///< reference positions (rebuild trigger); size = listed particles
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> neighbors_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;  ///< (row, t) pairs
+  std::vector<std::size_t> row_fill_;  ///< append: per-row new-pair count, then next slot
 
   std::uint64_t rebuilds_ = 0, reuses_ = 0;
 };

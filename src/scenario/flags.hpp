@@ -1,9 +1,12 @@
 #pragma once
 // Tiny command-line flag helper shared by the example mains. Replaces the
 // hand-rolled strcmp chains: flags are declared once with a bound target and
-// a help line, unknown flags are a hard error (exit code 2 convention in the
-// callers), and --help prints the generated usage text.
+// a help line, unknown flags and malformed values are a hard error (exit
+// code 2 convention in the callers), and --help prints the generated usage
+// text.
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,7 +30,8 @@ class Flags {
   }
 
   /// Parse argv. Returns false (after printing a diagnostic + usage to
-  /// stderr) on an unknown flag or a missing value; the caller should exit
+  /// stderr) on an unknown flag, a missing value or an integer value that is
+  /// not a whole decimal number within int range; the caller should exit
   /// non-zero. "--help" prints usage to stdout and exits 0.
   bool parse(int argc, char** argv) const {
     for (int i = 1; i < argc; ++i) {
@@ -56,10 +60,19 @@ class Flags {
         return false;
       }
       ++i;
-      if (spec->kind == Kind::Int)
-        *spec->int_target = std::atoi(argv[i]);
-      else
+      if (spec->kind == Kind::String) {
         *spec->str_target = argv[i];
+        continue;
+      }
+      char* end = nullptr;
+      errno = 0;
+      const long v = std::strtol(argv[i], &end, 10);
+      if (end == argv[i] || *end != '\0' || errno == ERANGE || v < INT_MIN || v > INT_MAX) {
+        std::fprintf(stderr, "%s expects an integer, got '%s'\n", spec->name, argv[i]);
+        print_usage(stderr);
+        return false;
+      }
+      *spec->int_target = static_cast<int>(v);
     }
     return true;
   }

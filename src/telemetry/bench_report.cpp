@@ -1,8 +1,10 @@
 #include "telemetry/bench_report.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "telemetry/json.hpp"
 
@@ -53,6 +55,30 @@ std::string BenchReport::write() const {
   out << to_json() << "\n";
   std::fprintf(stderr, "bench-report: wrote %s\n", path.c_str());
   return path;
+}
+
+BenchGate::BenchGate(const char* env, double fallback, Kind kind)
+    : env_(env), kind_(kind), threshold_(fallback) {
+  const char* v = std::getenv(env);
+  if (!v) return;
+  char* end = nullptr;
+  threshold_ = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(threshold_)) {
+    std::fprintf(stderr, "bench gate: %s='%s' is not a number\n", env, v);
+    threshold_ = std::numeric_limits<double>::quiet_NaN();
+  }
+}
+
+int BenchGate::check(const char* what, double value) const {
+  if (std::isnan(threshold_)) {
+    std::printf("FAIL: %s is not a number\n", env_.c_str());
+    return 1;
+  }
+  const bool pass = kind_ == kMin ? value >= threshold_ : value <= threshold_;
+  if (pass) return 0;
+  std::printf("FAIL: %s %.2f %s gate %.2f (%s)\n", what, value,
+              kind_ == kMin ? "below" : "above", threshold_, env_.c_str());
+  return 1;
 }
 
 }  // namespace telemetry

@@ -14,6 +14,9 @@
 //
 // Rows keep column insertion order. The file goes to $NEKTARG_BENCH_DIR when
 // set (CI points this at an artifact dir), else the working directory.
+//
+// BenchGate is the shared pass/fail check a bench applies to its headline
+// figure, with the threshold overridable from a NEKTARG_* variable.
 
 #include <string>
 #include <utility>
@@ -49,6 +52,29 @@ private:
   std::string name_;
   Fields meta_;
   std::vector<Fields> rows_;
+};
+
+/// A pass/fail gate on one bench figure. The threshold is `fallback` unless
+/// the environment variable `env` is set; a set value must be a whole finite
+/// number. An unparsable one fails the gate: read as 0 it would silently turn
+/// a minimum gate off.
+class BenchGate {
+public:
+  enum Kind { kMin, kMax };  ///< the figure must be >= / <= the threshold
+
+  BenchGate(const char* env, double fallback, Kind kind);
+
+  /// The threshold in force (NaN when the override is unparsable).
+  double threshold() const { return threshold_; }
+
+  /// The bench's exit status: 0 when `value` passes, else 1 after printing
+  /// a `FAIL:` line naming `what`, the value and the gate.
+  int check(const char* what, double value) const;
+
+private:
+  std::string env_;
+  Kind kind_;
+  double threshold_;
 };
 
 }  // namespace telemetry

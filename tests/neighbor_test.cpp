@@ -1,14 +1,15 @@
 // Verlet neighbor-list equivalence suite: the fast pair paths (CSR list,
-// grid point queries) must agree exactly with direct
-// O(N^2) enumeration across periodicities, skins, degenerate boxes, and
-// particle insertion/deletion (remap + splice) — and checkpoint/restart must
-// stay bitwise identical even though a restart rebuilds a list the
-// uninterrupted run was still reusing (docs/PERF.md explains why that is
-// non-trivial).
+// grid point queries) must agree exactly with direct O(N^2) enumeration
+// across periodicities, skins, boxes too small for a distinct +-1 cell
+// window, and particle insertion/deletion (remap + splice) — and
+// checkpoint/restart must stay bitwise identical even though a restart
+// rebuilds a list the uninterrupted run was still reusing (docs/PERF.md
+// explains why that is non-trivial).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <memory>
@@ -20,6 +21,7 @@
 #include "dpd/neighbor.hpp"
 #include "dpd/system.hpp"
 #include "resilience/blob.hpp"
+#include "telemetry/registry.hpp"
 
 namespace {
 
@@ -102,7 +104,6 @@ TEST(NeighborList, PairsMatchBruteForcePeriodic) {
   dpd::NeighborList nl(prm);
   const auto pos = random_positions(500, prm.box, 21);
   EXPECT_TRUE(nl.ensure(pos));  // first ensure is always a rebuild
-  EXPECT_FALSE(nl.degenerate());
   EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
 }
 
@@ -169,27 +170,64 @@ TEST(NeighborList, ZeroSkinRebuildsEveryTime) {
 }
 
 TEST(NeighborList, DegenerateTinyBoxFallsBack) {
-  // 2.5^3 periodic box with rc + skin = 1.3 leaves < 3 cells per dimension:
-  // the half-stencil would double-count, so the build must fall back to
-  // direct enumeration — and still produce the exact pair set
-  dpd::NeighborParams prm;
-  prm.box = {2.5, 2.5, 2.5};
-  prm.periodic = {true, true, true};
-  prm.rc = 1.0;
-  prm.skin = 0.3;
-  dpd::NeighborList nl(prm);
-  auto pos = random_positions(60, prm.box, 26);
-  nl.ensure(pos);
-  EXPECT_TRUE(nl.degenerate());
-  EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+  // Boxes with fewer than 3 cells along an axis, where the +-1 cell window
+  // around a particle wraps onto itself (periodic) or runs off both walls
+  // (non-periodic): rc + skin = 1.3 gives a 2.5^3 periodic box one cell per
+  // axis, and a 3.5-high non-periodic z two cells. The grid walk must still
+  // visit each cell, and so each pair, exactly once — at the build and at a
+  // splice.
+  struct Box {
+    dpd::Vec3 size;
+    std::array<bool, 3> periodic;
+  };
+  for (const Box& b : {Box{{2.5, 2.5, 2.5}, {true, true, true}},
+                       Box{{6.0, 5.0, 3.5}, {true, true, false}}}) {
+    SCOPED_TRACE(b.size.z);
+    dpd::NeighborParams prm;
+    prm.box = b.size;
+    prm.periodic = b.periodic;
+    prm.rc = 1.0;
+    prm.skin = 0.3;
+    dpd::NeighborList nl(prm);
+    auto pos = random_positions(60, prm.box, 26);
+    nl.ensure(pos);
+    expect_canonical(nl, pos.size());
+    EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
 
-  // the splice walks the grid cells around each newcomer; here that window
-  // wraps onto itself and must still visit each cell (and pair) once
-  const auto extra = random_positions(12, prm.box, 126);
+    const auto extra = random_positions(12, prm.box, 126);
+    for (std::size_t k = 0; k < extra.size(); ++k) pos.push_back(extra.get(k));
+    EXPECT_FALSE(nl.ensure(pos));  // spliced, not rebuilt
+    EXPECT_EQ(nl.rebuilds(), 1u);
+    expect_canonical(nl, pos.size());
+    EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+  }
+}
+
+TEST(NeighborList, SpliceCounterCountsAppendedParticlesOnly) {
+  // a build appends every particle through the same walk as a splice, but
+  // dpd.nlist.splice counts only particles spliced into a reused list
+  telemetry::set_enabled(true);
+  auto spliced = [] {
+    const auto counters = telemetry::Registry::local().counters();
+    const auto it = counters.find("dpd.nlist.splice");
+    return it == counters.end() ? 0.0 : it->second.value;
+  };
+  dpd::NeighborParams prm;
+  prm.box = {7.0, 6.0, 5.0};
+  dpd::NeighborList nl(prm);
+  auto pos = random_positions(300, prm.box, 29);
+  const double before = spliced();
+  EXPECT_TRUE(nl.ensure(pos));
+  EXPECT_EQ(spliced(), before);
+
+  const auto extra = random_positions(7, prm.box, 129);
   for (std::size_t k = 0; k < extra.size(); ++k) pos.push_back(extra.get(k));
-  EXPECT_FALSE(nl.ensure(pos));  // spliced, not rebuilt
-  EXPECT_EQ(nl.rebuilds(), 1u);
-  expect_canonical(nl, pos.size());
+  EXPECT_FALSE(nl.ensure(pos));
+  EXPECT_EQ(spliced(), before + 7.0);
+
+  nl.invalidate();
+  EXPECT_TRUE(nl.ensure(pos));
+  EXPECT_EQ(spliced(), before + 7.0);
   EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
 }
 

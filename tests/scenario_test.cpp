@@ -23,6 +23,7 @@
 #include "resilience/fault.hpp"
 #include "resilience/snapshot.hpp"
 #include "scenario/ensemble.hpp"
+#include "scenario/flags.hpp"
 #include "scenario/json.hpp"
 #include "scenario/presets.hpp"
 #include "scenario/runner.hpp"
@@ -106,6 +107,28 @@ TEST(JsonTest, PathHelpers) {
   scenario::require_path(doc, "a.b.c") = Json(4.0);
   EXPECT_EQ(scenario::find_path(doc, "a.b.c")->as_number(), 4.0);
   EXPECT_THROW(scenario::require_path(doc, "a.b.zzz"), JsonError);
+}
+
+// --- command-line flags ----------------------------------------------------
+
+TEST(FlagsTest, IntegerValueMustBeAWholeIntInRange) {
+  // `--intervals abc` once parsed as 0 and ran an empty simulation
+  auto parse = [](const char* value, int* target) {
+    scenario::Flags flags("prog");
+    flags.add_int("--n", target, "a count");
+    std::string a0 = "prog", a1 = "--n", a2 = value;
+    char* argv[] = {a0.data(), a1.data(), a2.data()};
+    return flags.parse(3, argv);
+  };
+  int n = 7;
+  for (const char* bad : {"abc", "12x", "99999999999", ""}) {
+    EXPECT_FALSE(parse(bad, &n)) << "'" << bad << "'";
+    EXPECT_EQ(n, 7) << "a rejected value must leave the target alone";
+  }
+  EXPECT_TRUE(parse("-1", &n));
+  EXPECT_EQ(n, -1);
+  EXPECT_TRUE(parse("25", &n));
+  EXPECT_EQ(n, 25);
 }
 
 // --- schema: diagnostics ---------------------------------------------------

@@ -1,6 +1,6 @@
 // Tests for the telemetry subsystem: phase timer nesting and aggregation,
 // counters/series, cross-rank report reduction over an xmp communicator, the
-// bench JSON emitter, and — the centrepiece — an analytic communication
+// bench JSON emitter and gate, and — the centrepiece — an analytic communication
 // matrix for the paper's 3-step interface exchange (gather to the L4 root,
 // one root-to-root message over World, scatter to the peers) whose per-cell
 // message and byte counts are known exactly.
@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
+#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <thread>
@@ -206,6 +208,30 @@ TEST(TelemetryBenchReport, JsonCarriesMetaAndRows) {
   EXPECT_NE(js.find("\"x\":1.5"), std::string::npos);
   EXPECT_NE(js.find("a\\\"b"), std::string::npos);  // escaping
   EXPECT_EQ(rep.row_count(), 2u);
+}
+
+TEST(TelemetryBenchGate, ThresholdOverrideMustParseAndGatesBothWays) {
+  const char* env = "NEKTARG_TEST_GATE_THRESHOLD";
+  ::unsetenv(env);
+  const telemetry::BenchGate fallback(env, 1.5, telemetry::BenchGate::kMin);
+  EXPECT_EQ(fallback.threshold(), 1.5);
+  EXPECT_EQ(fallback.check("speedup", 1.5), 0);
+  EXPECT_EQ(fallback.check("speedup", 1.4), 1);
+
+  ::setenv(env, "2.5", 1);
+  const telemetry::BenchGate at_most(env, 10.0, telemetry::BenchGate::kMax);
+  EXPECT_EQ(at_most.threshold(), 2.5);
+  EXPECT_EQ(at_most.check("overhead", 2.5), 0);
+  EXPECT_EQ(at_most.check("overhead", 2.6), 1);
+
+  // atof would read these as 0 (or inf/nan), silently opening a min gate
+  for (const char* bad : {"abc", "1.5x", "", "nan", "inf"}) {
+    ::setenv(env, bad, 1);
+    const telemetry::BenchGate gate(env, 1.0, telemetry::BenchGate::kMin);
+    EXPECT_TRUE(std::isnan(gate.threshold())) << "'" << bad << "'";
+    EXPECT_EQ(gate.check("speedup", 100.0), 1) << "'" << bad << "'";
+  }
+  ::unsetenv(env);
 }
 
 TEST(TelemetryChromeTrace, EmitsTimelineEvents) {

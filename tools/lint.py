@@ -46,6 +46,17 @@ exchange-hot-alloc
     line or the 2 lines above). Cold paths (build, plan construction,
     migration merges) are not gated.
 
+nlist-hot-alloc
+    Inside the Verlet-list bodies of src/dpd/neighbor.{hpp,cpp} that run per
+    particle or per force evaluation (`ensure`, `append`, `query`,
+    `for_each_binned_near`, `cells_along`), constructing a `std::vector`
+    allocates per call, i.e. per particle in a build. Lines opt out with a
+    `// lint: nlist-alloc-ok (<reason>)` marker (on the line or the 2 lines
+    above).
+
+The three *-hot-alloc rules are rows of one table (HOT_ALLOC_RULES): a path
+prefix, a hot-function regex, an opt-out marker and a rule id.
+
 sched-context
     Rank-visible code (src/xmp/, src/telemetry/) must not introduce raw
     `thread_local` state or call `std::this_thread::get_id`: with the fiber
@@ -81,11 +92,11 @@ import pathlib
 import re
 import sys
 
-# The token-level rules (memcpy-divisibility, sched-context, sem-hot-alloc,
-# dpd-no-std-function) match against comment/string-stripped lines produced
-# by the analyzer's C++ tokenizer, so a rule name mentioned in a comment or a
-# log string is never a finding. Markers, by contrast, live in comments and
-# are matched on the raw lines.
+# The token-level rules (memcpy-divisibility, sched-context, the *-hot-alloc
+# rules, dpd-no-std-function) match against comment/string-stripped lines
+# produced by the analyzer's C++ tokenizer, so a rule name mentioned in a
+# comment or a log string is never a finding. Markers, by contrast, live in
+# comments and are matched on the raw lines.
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent / "analyze"))
 from tokenizer import code_only_lines  # noqa: E402
 
@@ -101,18 +112,28 @@ MEMCPY_OK_RE = re.compile(r"//\s*lint:\s*memcpy-ok")
 NO_TRACE_RE = re.compile(r"//\s*lint:\s*no-trace")
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 STD_FUNCTION_OK_RE = re.compile(r"//\s*lint:\s*std-function-ok")
-SEM_HOT_FN_RE = re.compile(r"\b(?:\w+\s*::\s*)?((?:apply_|elem_)\w*)\s*\(")
-EXCHANGE_HOT_FN_RE = re.compile(
-    r"\b(?:\w+\s*::\s*)?"
-    r"(update|pack_\w+|unpack_\w+)\s*\(")
 STD_VECTOR_CTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
-SEM_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*sem-alloc-ok")
-EXCHANGE_ALLOC_OK_RE = re.compile(r"//\s*lint:\s*exchange-alloc-ok")
 THREAD_IDENTITY_RE = re.compile(r"\bthread_local\b|\bstd\s*::\s*this_thread\s*::\s*get_id\b")
 SCHED_CONTEXT_OK_RE = re.compile(r"//\s*lint:\s*sched-context-ok")
 SCHEMA_FN_RE = re.compile(r"\b(parse|serialize)_(\w+)\s*\(")
 SCHEMA_PARSE_KEY_RE = re.compile(r"\.(?:req|opt)\w*\(\s*\"([^\"]+)\"")
 SCHEMA_SET_KEY_RE = re.compile(r"\.set\(\s*\"([^\"]+)\"")
+
+
+def _hot_fn_re(names: str) -> re.Pattern:
+    return re.compile(r"\b(?:\w+\s*::\s*)?(" + names + r")\s*\(")
+
+
+# (path prefix, hot-function regex, opt-out marker, rule id, hot-path name
+# for the message)
+HOT_ALLOC_RULES = [
+    ("src/sem/", _hot_fn_re(r"(?:apply_|elem_)\w*"), "sem-alloc-ok", "sem-hot-alloc",
+     "an apply_*/elem_* SEM operator"),
+    ("src/dpd/exchange/", _hot_fn_re(r"update|pack_\w+|unpack_\w+"), "exchange-alloc-ok",
+     "exchange-hot-alloc", "a halo update/pack_*/unpack_*"),
+    ("src/dpd/neighbor.", _hot_fn_re(r"ensure|append|query|for_each_binned_near|cells_along"),
+     "nlist-alloc-ok", "nlist-hot-alloc", "a Verlet-list ensure/append/query/cell-walk"),
+]
 
 
 class Finding:
@@ -332,40 +353,24 @@ def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
     in_src = rel.startswith("src/")
     in_xmp = rel.startswith("src/xmp/")
     in_dpd_header = rel.startswith("src/dpd/") and path.suffix == ".hpp"
-    in_sem = rel.startswith("src/sem/")
-    in_exchange = rel.startswith("src/dpd/exchange/")
     in_rank_visible = in_xmp or rel.startswith("src/telemetry/")
 
     if rel == "src/scenario/schema.cpp":
         findings.extend(schema_sync_findings(rel, lines))
 
-    if in_sem:
-        for lo, hi in hot_fn_ranges(clines, SEM_HOT_FN_RE):
+    for prefix, fn_re, marker, rule, what in HOT_ALLOC_RULES:
+        if not rel.startswith(prefix):
+            continue
+        marker_re = re.compile(r"//\s*lint:\s*" + marker)
+        for lo, hi in hot_fn_ranges(clines, fn_re):
             for i in range(lo, hi + 1):
-                if not vector_ctor_on_line(clines[i]):
-                    continue
-                if marker_near(lines, i, SEM_ALLOC_OK_RE, MARKER_BACKWINDOW):
-                    continue
-                findings.append(Finding(
-                    rel, i + 1, "sem-hot-alloc",
-                    "std::vector construction inside an apply_*/elem_* SEM hot "
-                    "path allocates per apply; use the persistent member "
-                    "scratch, or mark a deliberate baseline with `// lint: "
-                    "sem-alloc-ok (<reason>)`"))
-
-    if in_exchange:
-        for lo, hi in hot_fn_ranges(clines, EXCHANGE_HOT_FN_RE):
-            for i in range(lo, hi + 1):
-                if not vector_ctor_on_line(clines[i]):
-                    continue
-                if marker_near(lines, i, EXCHANGE_ALLOC_OK_RE, MARKER_BACKWINDOW):
-                    continue
-                findings.append(Finding(
-                    rel, i + 1, "exchange-hot-alloc",
-                    "std::vector construction inside a halo fast-path body "
-                    "(update/pack_*/unpack_*) allocates every force pass; use "
-                    "the hoisted member scratch, or mark a deliberate case "
-                    "with `// lint: exchange-alloc-ok (<reason>)`"))
+                if vector_ctor_on_line(clines[i]) and not marker_near(
+                        lines, i, marker_re, MARKER_BACKWINDOW):
+                    findings.append(Finding(
+                        rel, i + 1, rule,
+                        f"std::vector construction inside {what} hot path "
+                        "allocates per call; use persistent member scratch, or "
+                        f"mark a deliberate case with `// lint: {marker} (<reason>)`"))
 
     if in_src and path.suffix == ".hpp":
         head = [l.strip() for l in lines[:5]]
@@ -568,6 +573,34 @@ SELF_TEST_CASES = [
     ("src/dpd/ok_exchange_rule_scoped.cpp",
      "void HaloExchanger::update(DpdSystem& sys) {\n"
      "  std::vector<double> buf(n);\n}\n",
+     set()),
+    # the allocating cells_along that the range-returning one replaced
+    ("src/dpd/neighbor.hpp",
+     "#pragma once\n"
+     "class NeighborList {\n"
+     "  static std::vector<int> cells_along(int base, double pad, double cell_size, int n, bool per) {\n"
+     "    const int reach = static_cast<int>(std::ceil(pad / cell_size));\n"
+     "    std::vector<int> out;\n"
+     "    for (int d = -reach; d <= reach; ++d) out.push_back(base + d);\n"
+     "    return out;\n"
+     "  }\n"
+     "};\n",
+     {"nlist-hot-alloc"}),
+    ("src/dpd/neighbor.cpp",
+     "void NeighborList::append(const SoA3& pos) {\n"
+     "  std::vector<std::size_t> cursor(pos.size());\n}\n",
+     {"nlist-hot-alloc"}),
+    ("src/dpd/neighbor.cpp",
+     "void NeighborList::on_remap(const std::vector<long>& new_index) {\n"
+     "  std::vector<long> cold(new_index);\n}\n"
+     "bool NeighborList::ensure(const SoA3& pos) {\n"
+     "  // lint: nlist-alloc-ok (diagnostic copy outside the benchmarked path)\n"
+     "  std::vector<double> snapshot(pos.xs());\n"
+     "  build(pos);\n  return true;\n}\n",
+     set()),
+    ("src/dpd/ok_nlist_rule_scoped.cpp",
+     "void Sampler::query(const SoA3& pos) {\n"
+     "  std::vector<double> tmp(pos.size());\n}\n",
      set()),
     ("src/xmp/bad_thread_local.cpp",
      "thread_local int cached_rank = -1;\n",
