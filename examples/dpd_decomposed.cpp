@@ -8,9 +8,10 @@
 // Build & run:  cmake --build build && ./build/examples/dpd_decomposed
 //
 // Flags:
-//   --ranks N   decomposed rank count (default 4)
+//   --ranks N   decomposed rank count, at least 1 (default 4)
 //   --steps N   DPD steps (default 50)
-// Unknown flags and flags missing their value exit with code 2.
+// Unknown flags, flags missing their value and a rank count below 1 exit
+// with code 2.
 
 #include <cstdio>
 #include <cstdint>
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
   int ranks = 4;
   int steps = 50;
   scenario::Flags flags("dpd_decomposed");
-  flags.add_int("--ranks", &ranks, "decomposed rank count (default 4)");
+  flags.add_int("--ranks", &ranks, "decomposed rank count, at least 1 (default 4)", 1);
   flags.add_int("--steps", &steps, "DPD steps (default 50)");
   if (!flags.parse(argc, argv)) return 2;
 

@@ -11,15 +11,28 @@
 // The list invariant: the CSR holds every pair (i < j) whose *reference*
 // positions lie within rc + skin, where a particle's reference position is
 // where it stood when it entered the list. There is one way in: appending.
-// Each appended particle t is binned after pairing with the lower-index
-// particles already binned in the grid cells around it, so every pair is
-// found exactly once, from its higher index, whatever the box shape. A
-// build resets the grid and the CSR and appends every particle; on a reused
-// list, particles added since the last ensure() are appended the same way.
-// Pairs come out with t ascending, so a stable counting merge by row puts
-// each at the end of its row and every run stays sorted without a sort.
-// Deletion remaps the list (drop dead rows and entries, renumber, re-bin),
-// so the list also survives the open-boundary churn of the flux BC.
+// Each appended particle t pairs with the lower-index particles already
+// binned in the grid cells around it and is binned only afterwards, so
+// every pair is found exactly once, from its higher index, whatever the box
+// shape. A build resets the grid and the CSR and appends every particle; on
+// a reused list, particles added since the last ensure() are appended the
+// same way. Pairs come out with t ascending, so a stable counting merge by
+// row puts each at the end of its row and every run stays sorted without a
+// sort. Deletion remaps the list (drop dead rows and entries, renumber,
+// re-sort the bins), so the list also survives the open-boundary churn of
+// the flux BC.
+//
+// The bins are a counting sort: every listed particle keeps its cell
+// (cell_of_), and slot_idx_ lists the particles cell by cell, cell c owning
+// the slots [cell_start_[c], cell_start_[c+1]). A scatter in index order
+// leaves each cell's members ascending, so while append walks t upward the
+// members below t are a prefix of every cell, ending at a per-cell cursor
+// (cell_fill_) that advances as t is binned. Each window cell's candidates
+// are that prefix, streamed from contiguous slots; the distance test writes
+// every candidate and advances the hit count by the predicate, so its
+// outcome is never branched on. Newcomers have the highest indices, so a
+// splice re-sorts the listed particles (O(n + cells)) and walks the
+// newcomers exactly as a build walks everyone.
 //
 // The canonical (i ascending, j ascending within each run) pair ordering is
 // load-bearing: the force loop skips out-of-range pairs entirely, so the
@@ -37,9 +50,10 @@
 // x/y/z lanes. An optional ghost-pair filter drops the both-ghost pairs no
 // rank is responsible for.
 //
-// The same cell grid serves point queries (query()) for sparse secondary
-// scans — platelet adhesion and thrombus-arrest checks — which would
-// otherwise rescan particle subsets quadratically.
+// The same bins serve point queries (query()) for sparse secondary scans —
+// platelet adhesion and thrombus-arrest checks — which would otherwise
+// rescan particle subsets quadratically. A query visits the particles of
+// each cell in slot order; its callers do not depend on visit order.
 
 #include <algorithm>
 #include <array>
@@ -88,8 +102,8 @@ public:
   void invalidate() { valid_ = false; }
   /// ForceModule-style remap hook for an order-preserving compaction
   /// (new_index[i] = new slot of particle i, -1 if deleted): a valid list
-  /// drops the dead rows and entries, renumbers the survivors and re-bins
-  /// the grid, and stays valid. Particles appended since the last ensure()
+  /// drops the dead rows and entries, renumbers the survivors and re-sorts
+  /// the bins, and stays valid. Particles appended since the last ensure()
   /// stay in the unspliced tail.
   void on_remap(const std::vector<long>& new_index);
   bool valid() const { return valid_; }
@@ -160,36 +174,41 @@ private:
   void build(const SoA3& pos);
   /// Append the particles [ref_pos_.size(), pos.size()) to the list.
   void append(const SoA3& pos);
-  /// Link particle i into the grid cell holding its reference position.
-  void bin(std::size_t i);
-  /// Decomposition filter: false for both-ghost pairs (neither member is
-  /// owned here, so this rank must not compute them).
-  bool keep(std::size_t a, std::size_t b) const {
-    return !ghost_ || !((*ghost_)[a] != 0 && (*ghost_)[b] != 0);
+  /// Counting sort of the listed particles by cell_of_: cell_start_ gets
+  /// every cell's slot range, the particles [0, n_binned) are scattered in
+  /// index order, and cell_fill_[c] ends the binned prefix of cell c.
+  void sort_bins(std::size_t n_binned);
+  /// The grid cell holding point p.
+  std::uint32_t cell_index(Vec3 p) const {
+    wrap(p);
+    const int cx = cell_coord(p.x, prm_.box.x, ncx_);
+    const int cy = cell_coord(p.y, prm_.box.y, ncy_);
+    const int cz = cell_coord(p.z, prm_.box.z, ncz_);
+    return static_cast<std::uint32_t>((cz * ncy_ + cy) * ncx_ + cx);
+  }
+
+  /// Visit the grid cells whose contents can lie within `pad` of cell
+  /// `cell`: fn(c). Each cell is visited once, also when a dimension has too
+  /// few cells for the +-reach window to be distinct.
+  template <class Fn>
+  void for_each_window_cell(std::uint32_t cell, double pad, Fn&& fn) const {
+    const int c0 = static_cast<int>(cell);
+    const CellRange cx = cells_along(c0 % ncx_, pad, csx_, ncx_, prm_.periodic[0]);
+    const CellRange cy = cells_along(c0 / ncx_ % ncy_, pad, csy_, ncy_, prm_.periodic[1]);
+    const CellRange cz = cells_along(c0 / ncx_ / ncy_, pad, csz_, ncz_, prm_.periodic[2]);
+    for (int a = 0; a < cz.count; ++a)
+      for (int b = 0; b < cy.count; ++b)
+        for (int c = 0; c < cx.count; ++c)
+          fn(static_cast<std::size_t>((cz[a] * ncy_ + cy[b]) * ncx_ + cx[c]));
   }
 
   /// Visit every binned particle in the grid cells that can hold points
-  /// within `pad` of `p`: fn(j). Each cell is walked once, also when a
-  /// dimension has too few cells for the +-reach window to be distinct.
+  /// within `pad` of `p`: fn(j), in slot order.
   template <class Fn>
   void for_each_binned_near(const Vec3& p, double pad, Fn&& fn) const {
-    Vec3 q = p;
-    wrap(q);
-    const CellRange cx =
-        cells_along(cell_coord(q.x, prm_.box.x, ncx_), pad, csx_, ncx_, prm_.periodic[0]);
-    const CellRange cy =
-        cells_along(cell_coord(q.y, prm_.box.y, ncy_), pad, csy_, ncy_, prm_.periodic[1]);
-    const CellRange cz =
-        cells_along(cell_coord(q.z, prm_.box.z, ncz_), pad, csz_, ncz_, prm_.periodic[2]);
-    for (int a = 0; a < cz.count; ++a)
-      for (int b = 0; b < cy.count; ++b)
-        for (int c = 0; c < cx.count; ++c) {
-          const std::size_t cell =
-              (static_cast<std::size_t>(cz[a]) * ncy_ + cy[b]) * static_cast<std::size_t>(ncx_) +
-              cx[c];
-          for (long j = cell_head_[cell]; j >= 0; j = cell_next_[static_cast<std::size_t>(j)])
-            fn(static_cast<std::size_t>(j));
-        }
+    for_each_window_cell(cell_index(p), pad, [&](std::size_t c) {
+      for (std::uint32_t k = cell_start_[c]; k < cell_start_[c + 1]; ++k) fn(slot_idx_[k]);
+    });
   }
 
   void wrap(Vec3& p) const {
@@ -232,15 +251,21 @@ private:
   // optional decomposition pair filter (see set_pair_filter)
   const std::vector<char>* ghost_ = nullptr;
 
-  // cell grid over reference positions
+  // cell grid over reference positions, binned by counting sort
   int ncx_ = 0, ncy_ = 0, ncz_ = 0;
   double csx_ = 0.0, csy_ = 0.0, csz_ = 0.0;
-  std::vector<long> cell_head_, cell_next_;
+  std::vector<std::uint32_t> cell_of_;     ///< cell of each listed particle
+  std::vector<std::uint32_t> cell_start_;  ///< cell c owns slots [start[c], start[c+1])
+  std::vector<std::uint32_t> cell_fill_;   ///< append: end of each cell's binned prefix
+  std::vector<std::uint32_t> slot_idx_;    ///< particle in each slot
 
   SoA3 ref_pos_;  ///< reference positions (rebuild trigger); size = listed particles
   std::vector<std::size_t> offsets_;
   std::vector<std::uint32_t> neighbors_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;  ///< (row, t) pairs
+  /// (row, t) pairs of one append. It keeps its high-water size, so the
+  /// distance test can write every candidate before counting it; it grows
+  /// only to the candidates in hand, since pages it touches stay resident.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pair_scratch_;
   std::vector<std::size_t> row_fill_;  ///< append: per-row new-pair count, then next slot
 
   std::uint64_t rebuilds_ = 0, reuses_ = 0;

@@ -19,20 +19,22 @@ class Flags {
  public:
   explicit Flags(std::string prog) : prog_(std::move(prog)) {}
 
-  void add_int(const char* name, int* target, const char* help) {
-    specs_.push_back({name, help, Kind::Int, target, nullptr, nullptr});
+  /// An integer flag; values below `min` are rejected like malformed ones.
+  void add_int(const char* name, int* target, const char* help, int min = INT_MIN) {
+    specs_.push_back({name, help, Kind::Int, target, nullptr, nullptr, min});
   }
   void add_string(const char* name, std::string* target, const char* help) {
-    specs_.push_back({name, help, Kind::String, nullptr, target, nullptr});
+    specs_.push_back({name, help, Kind::String, nullptr, target, nullptr, INT_MIN});
   }
   void add_flag(const char* name, bool* target, const char* help) {
-    specs_.push_back({name, help, Kind::Bool, nullptr, nullptr, target});
+    specs_.push_back({name, help, Kind::Bool, nullptr, nullptr, target, INT_MIN});
   }
 
   /// Parse argv. Returns false (after printing a diagnostic + usage to
   /// stderr) on an unknown flag, a missing value or an integer value that is
-  /// not a whole decimal number within int range; the caller should exit
-  /// non-zero. "--help" prints usage to stdout and exits 0.
+  /// not a whole decimal number within int range and at or above the flag's
+  /// minimum; the caller should exit non-zero. "--help" prints usage to
+  /// stdout and exits 0.
   bool parse(int argc, char** argv) const {
     for (int i = 1; i < argc; ++i) {
       if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
@@ -72,6 +74,11 @@ class Flags {
         print_usage(stderr);
         return false;
       }
+      if (v < spec->min) {
+        std::fprintf(stderr, "%s must be at least %d, got %ld\n", spec->name, spec->min, v);
+        print_usage(stderr);
+        return false;
+      }
       *spec->int_target = static_cast<int>(v);
     }
     return true;
@@ -86,6 +93,7 @@ class Flags {
     int* int_target;
     std::string* str_target;
     bool* bool_target;
+    int min;
   };
 
   void print_usage(std::FILE* out) const {

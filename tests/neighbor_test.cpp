@@ -84,6 +84,54 @@ std::vector<long> remove_sorted(dpd::SoA3& pos, const std::vector<std::size_t>& 
   return new_index;
 }
 
+/// The canonical CSR a list over reference positions `pos` must hold, by
+/// direct O(N^2) enumeration: every pair j < t within rc + skin, under row j,
+/// runs ascending, both-ghost pairs dropped when `ghost` is given.
+std::pair<std::vector<std::size_t>, std::vector<std::uint32_t>> brute_csr(
+    const dpd::NeighborList& nl, const dpd::SoA3& pos, const std::vector<char>* ghost) {
+  const double rcut = nl.params().rc + nl.params().skin;
+  std::vector<std::size_t> offs{0};
+  std::vector<std::uint32_t> nbr;
+  for (std::size_t j = 0; j < pos.size(); ++j) {
+    for (std::size_t t = j + 1; t < pos.size(); ++t)
+      if (!(ghost && (*ghost)[j] && (*ghost)[t]) &&
+          nl.min_image(pos[j], pos[t]).norm2() < rcut * rcut)
+        nbr.push_back(static_cast<std::uint32_t>(t));
+    offs.push_back(nbr.size());
+  }
+  return {offs, nbr};
+}
+
+void expect_csr_is_brute(const dpd::NeighborList& nl, const dpd::SoA3& pos,
+                         const std::vector<char>* ghost = nullptr) {
+  const auto [offs, nbr] = brute_csr(nl, pos, ghost);
+  EXPECT_EQ(nl.offsets(), offs);
+  EXPECT_EQ(nl.neighbors(), nbr);
+}
+
+/// Every j within `cutoff` of `p`, by a direct scan.
+std::vector<std::size_t> brute_query(const dpd::NeighborList& nl, const dpd::SoA3& pos,
+                                     const dpd::Vec3& p, double cutoff) {
+  std::vector<std::size_t> out;
+  for (std::size_t j = 0; j < pos.size(); ++j)
+    if (nl.min_image(p, pos[j]).norm2() <= cutoff * cutoff) out.push_back(j);
+  return out;
+}
+
+std::vector<std::size_t> sorted_query(const dpd::NeighborList& nl, const dpd::SoA3& pos,
+                                      const dpd::Vec3& p, double cutoff) {
+  std::vector<std::size_t> out;
+  nl.query(pos, p, cutoff, [&](std::size_t j, const dpd::Vec3&, double) { out.push_back(j); });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+double counter(const char* name) {
+  const auto counters = telemetry::Registry::local().counters();
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0.0 : it->second.value;
+}
+
 /// Bitwise fingerprint of the full particle state.
 std::vector<std::uint8_t> state_of(const dpd::DpdSystem& sys) {
   resilience::BlobWriter w;
@@ -207,11 +255,7 @@ TEST(NeighborList, SpliceCounterCountsAppendedParticlesOnly) {
   // a build appends every particle through the same walk as a splice, but
   // dpd.nlist.splice counts only particles spliced into a reused list
   telemetry::set_enabled(true);
-  auto spliced = [] {
-    const auto counters = telemetry::Registry::local().counters();
-    const auto it = counters.find("dpd.nlist.splice");
-    return it == counters.end() ? 0.0 : it->second.value;
-  };
+  auto spliced = [] { return counter("dpd.nlist.splice"); };
   dpd::NeighborParams prm;
   prm.box = {7.0, 6.0, 5.0};
   dpd::NeighborList nl(prm);
@@ -229,6 +273,94 @@ TEST(NeighborList, SpliceCounterCountsAppendedParticlesOnly) {
   EXPECT_TRUE(nl.ensure(pos));
   EXPECT_EQ(spliced(), before + 7.0);
   EXPECT_EQ(list_pairs(nl, pos), brute_pairs(nl, pos));
+}
+
+TEST(NeighborList, BuildAndSpliceCsrEqualBruteForceCsr) {
+  // The whole CSR, not just the interacting pairs, against a direct O(N^2)
+  // enumeration at the reference radius: after a build and after a splice,
+  // in the quickstart DPD box, in tiny periodic boxes with fewer than 3
+  // cells per axis (1.3-wide cells: 2.5 gives 1 cell, 3.6 gives 2), and
+  // with a ghost filter.
+  struct Case {
+    const char* name;
+    dpd::Vec3 box;
+    std::array<bool, 3> periodic;
+    std::size_t n;
+    bool ghosts;
+  };
+  for (const Case& c : {Case{"quickstart", {16.0, 6.0, 10.0}, {false, true, false}, 2821, false},
+                        Case{"tiny 1 cell", {2.5, 2.5, 2.5}, {true, true, true}, 60, false},
+                        Case{"tiny 2 cells", {3.6, 3.6, 3.6}, {true, true, true}, 140, false},
+                        Case{"ghost filter", {8.0, 6.0, 5.0}, {true, true, false}, 700, true}}) {
+    SCOPED_TRACE(c.name);
+    dpd::NeighborParams prm;
+    prm.box = c.box;
+    prm.periodic = c.periodic;
+    dpd::NeighborList nl(prm);
+    auto pos = random_positions(c.n, prm.box, 33);
+    const auto extra = random_positions(9, prm.box, 133);
+    std::vector<char> ghost(c.n + extra.size());
+    std::mt19937 rng(34);
+    for (auto& g : ghost) g = static_cast<char>(rng() % 3 == 0);
+    if (c.ghosts) nl.set_pair_filter(&ghost);
+    const auto* filter = c.ghosts ? &ghost : nullptr;
+
+    EXPECT_TRUE(nl.ensure(pos));
+    expect_csr_is_brute(nl, pos, filter);
+    for (std::size_t k = 0; k < extra.size(); ++k) pos.push_back(extra.get(k));
+    EXPECT_FALSE(nl.ensure(pos));  // spliced, not rebuilt
+    expect_csr_is_brute(nl, pos, filter);
+  }
+}
+
+TEST(NeighborList, CandidateCounterMatchesCellWindowCount) {
+  // dpd.nlist.candidates counts the distance tests of each build or splice:
+  // for every appended t, the listed j < t whose cell lies in t's window.
+  // Pinned against the same count made by direct enumeration of cell
+  // coordinates, on a fixed 2,821-particle quickstart box (12 x 4 x 7
+  // cells, y periodic).
+  telemetry::set_enabled(true);
+  dpd::NeighborParams prm;
+  prm.box = {16.0, 6.0, 10.0};
+  prm.periodic = {false, true, false};
+  dpd::NeighborList nl(prm);
+  auto pos = random_positions(2821, prm.box, 35);
+
+  const double rcut = prm.rc + prm.skin;
+  const double len[3] = {prm.box.x, prm.box.y, prm.box.z};
+  int ncell[3];
+  for (int a = 0; a < 3; ++a) ncell[a] = std::max(1, static_cast<int>(len[a] / rcut));
+  auto cell = [&](const dpd::Vec3& p, int a) {
+    double v = a == 0 ? p.x : a == 1 ? p.y : p.z;
+    if (prm.periodic[a]) v -= len[a] * std::floor(v / len[a]);
+    return std::clamp(static_cast<int>(v / len[a] * ncell[a]), 0, ncell[a] - 1);
+  };
+  auto near = [&](const dpd::Vec3& p, const dpd::Vec3& q) {
+    for (int a = 0; a < 3; ++a) {
+      const int d = std::abs(cell(p, a) - cell(q, a)), n = ncell[a];
+      if (n > 3 && (prm.periodic[a] ? std::min(d, n - d) : d) > 1) return false;
+    }
+    return true;
+  };
+  auto window_count = [&](std::size_t from, std::size_t to) {
+    double count = 0.0;
+    for (std::size_t t = from; t < to; ++t)
+      for (std::size_t j = 0; j < t; ++j) count += near(pos[j], pos[t]);
+    return count;
+  };
+
+  double before = counter("dpd.nlist.candidates");
+  EXPECT_TRUE(nl.ensure(pos));
+  const double build_count = counter("dpd.nlist.candidates") - before;
+  EXPECT_EQ(build_count, window_count(0, pos.size()));
+  EXPECT_GT(build_count, 0.0);
+
+  const std::size_t n_ref = pos.size();
+  const auto extra = random_positions(8, prm.box, 135);
+  for (std::size_t k = 0; k < extra.size(); ++k) pos.push_back(extra.get(k));
+  before = counter("dpd.nlist.candidates");
+  EXPECT_FALSE(nl.ensure(pos));
+  EXPECT_EQ(counter("dpd.nlist.candidates") - before, window_count(n_ref, pos.size()));
 }
 
 TEST(NeighborList, AddThenRemoveBeforeEnsureIsExact) {
@@ -249,15 +381,9 @@ TEST(NeighborList, AddThenRemoveBeforeEnsureIsExact) {
   // point queries see the unspliced tail (scanned directly) and, after the
   // splice, find the newcomers through the grid
   auto check_queries = [&] {
-    for (std::size_t t = n_ref - 3; t < pos.size(); ++t) {
-      std::vector<std::size_t> got, want;
-      nl.query(pos, pos.get(t), 1.0,
-               [&](std::size_t j, const dpd::Vec3&, double) { got.push_back(j); });
-      for (std::size_t j = 0; j < pos.size(); ++j)
-        if (nl.min_image(pos.get(t), pos[j]).norm2() <= 1.0) want.push_back(j);
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, want) << "query around " << t;
-    }
+    for (std::size_t t = n_ref - 3; t < pos.size(); ++t)
+      EXPECT_EQ(sorted_query(nl, pos, pos.get(t), 1.0), brute_query(nl, pos, pos.get(t), 1.0))
+          << "query around " << t;
   };
 
   // one listed particle and one unspliced newcomer
@@ -287,13 +413,7 @@ TEST(NeighborList, QueryMatchesBruteForce) {
     for (int q = 0; q < 50; ++q) {
       const dpd::Vec3 p{ux(rng), uy(rng), uz(rng)};
       const double cutoff = 0.5 + 0.02 * q;
-      std::vector<std::size_t> got, want;
-      nl.query(pos, p, cutoff,
-               [&](std::size_t j, const dpd::Vec3&, double) { got.push_back(j); });
-      for (std::size_t j = 0; j < pos.size(); ++j)
-        if (nl.min_image(p, pos[j]).norm2() <= cutoff * cutoff) want.push_back(j);
-      std::sort(got.begin(), got.end());
-      EXPECT_EQ(got, want) << "query " << q;
+      EXPECT_EQ(sorted_query(nl, pos, p, cutoff), brute_query(nl, pos, p, cutoff)) << "query " << q;
     }
   };
   check_queries(31);
@@ -495,12 +615,23 @@ TEST(DpdNeighbor, InflowOutflowKeepsListCorrect) {
 TEST(DpdNeighbor, HeavyChurnKeepsPairSetsExact) {
   // 100 steps of add/remove churn interleaved with stepping: every remap
   // and splice must leave the reused list enumerating exactly the O(N^2)
-  // reference pair set at the current positions
+  // reference pair set at the current positions, and point queries exact
+  // against a direct scan
   auto prm = small_box_params(0.4);
   dpd::DpdSystem sys(prm, std::make_shared<dpd::NoWalls>());
   sys.fill(3.0, dpd::kSolvent, 41);
   std::mt19937 rng(91);
   std::uniform_real_distribution<double> u(0.0, prm.box.x);
+  const auto& nl = sys.neighbor_list();
+  auto expect_queries_exact = [&](const char* after, int step) {
+    for (int q = 0; q < 8; ++q) {
+      const dpd::Vec3 p{u(rng), u(rng), u(rng)};
+      const double cutoff = 0.4 + 0.1 * q;
+      ASSERT_EQ(sorted_query(nl, sys.positions(), p, cutoff),
+                brute_query(nl, sys.positions(), p, cutoff))
+          << "query " << q << " after the " << after << " of churn step " << step;
+    }
+  };
   std::size_t removed_total = 0, added_total = 0;
   for (int s = 0; s < 100; ++s) {
     sys.step();
@@ -508,10 +639,14 @@ TEST(DpdNeighbor, HeavyChurnKeepsPairSetsExact) {
       std::uniform_int_distribution<std::size_t> pick(0, sys.size() - 1);
       sys.remove_particles({pick(rng), pick(rng), pick(rng)});
       removed_total += 3;  // upper bound; duplicates collapse
+      expect_queries_exact("remap", s);
     }
     if (s % 4 == 0) {
       sys.add_particle({u(rng), u(rng), u(rng)}, {0.0, 0.0, 0.0}, dpd::kSolvent);
       ++added_total;
+      expect_queries_exact("insertion", s);  // the newcomer sits in the unspliced tail
+      sys.ensure_neighbors();
+      expect_queries_exact("splice", s);
     }
     std::vector<Pair> fast, ref;
     sys.for_each_pair([&](std::size_t i, std::size_t j, const dpd::Vec3&, double) {

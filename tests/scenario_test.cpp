@@ -131,6 +131,24 @@ TEST(FlagsTest, IntegerValueMustBeAWholeIntInRange) {
   EXPECT_EQ(n, 25);
 }
 
+TEST(FlagsTest, IntegerBelowItsMinimumIsRejected) {
+  // `dpd_decomposed --ranks 0` once reached xmp::run and aborted
+  auto parse = [](const char* value, int* target) {
+    scenario::Flags flags("prog");
+    flags.add_int("--ranks", target, "a rank count", 1);
+    std::string a0 = "prog", a1 = "--ranks", a2 = value;
+    char* argv[] = {a0.data(), a1.data(), a2.data()};
+    return flags.parse(3, argv);
+  };
+  int ranks = 4;
+  for (const char* bad : {"0", "-3"}) {
+    EXPECT_FALSE(parse(bad, &ranks)) << "'" << bad << "'";
+    EXPECT_EQ(ranks, 4);
+  }
+  EXPECT_TRUE(parse("1", &ranks));
+  EXPECT_EQ(ranks, 1);
+}
+
 // --- schema: diagnostics ---------------------------------------------------
 
 TEST(SchemaTest, UnknownKeyCarriesJsonPath) {

@@ -48,7 +48,8 @@ exchange-hot-alloc
 
 nlist-hot-alloc
     Inside the Verlet-list bodies of src/dpd/neighbor.{hpp,cpp} that run per
-    particle or per force evaluation (`ensure`, `append`, `query`,
+    particle or per force evaluation (`ensure`, `append`, `query`, the
+    counting sort `sort_bins`, `for_each_window_cell`,
     `for_each_binned_near`, `cells_along`), constructing a `std::vector`
     allocates per call, i.e. per particle in a build. Lines opt out with a
     `// lint: nlist-alloc-ok (<reason>)` marker (on the line or the 2 lines
@@ -131,8 +132,10 @@ HOT_ALLOC_RULES = [
      "an apply_*/elem_* SEM operator"),
     ("src/dpd/exchange/", _hot_fn_re(r"update|pack_\w+|unpack_\w+"), "exchange-alloc-ok",
      "exchange-hot-alloc", "a halo update/pack_*/unpack_*"),
-    ("src/dpd/neighbor.", _hot_fn_re(r"ensure|append|query|for_each_binned_near|cells_along"),
-     "nlist-alloc-ok", "nlist-hot-alloc", "a Verlet-list ensure/append/query/cell-walk"),
+    ("src/dpd/neighbor.",
+     _hot_fn_re(r"ensure|append|query|sort_bins|for_each_window_cell|for_each_binned_near"
+                r"|cells_along"),
+     "nlist-alloc-ok", "nlist-hot-alloc", "a Verlet-list ensure/append/query/bin-sort/cell-walk"),
 ]
 
 
@@ -589,6 +592,13 @@ SELF_TEST_CASES = [
     ("src/dpd/neighbor.cpp",
      "void NeighborList::append(const SoA3& pos) {\n"
      "  std::vector<std::size_t> cursor(pos.size());\n}\n",
+     {"nlist-hot-alloc"}),
+    # a counting sort that builds its cursors per call instead of reusing
+    # the cell_fill_ member
+    ("src/dpd/neighbor.cpp",
+     "void NeighborList::sort_bins(std::size_t n_binned) {\n"
+     "  std::vector<std::uint32_t> fill(cell_start_.begin(), cell_start_.end() - 1);\n"
+     "  for (std::size_t i = 0; i < n_binned; ++i) slot_idx_[fill[cell_of_[i]]++] = i;\n}\n",
      {"nlist-hot-alloc"}),
     ("src/dpd/neighbor.cpp",
      "void NeighborList::on_remap(const std::vector<long>& new_index) {\n"
