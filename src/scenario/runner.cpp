@@ -95,40 +95,32 @@ void Runner::set_warm_start(WarmMode mode, std::vector<std::uint8_t> blob) {
 void Runner::apply_warm_start() {
   warm_applied_ = false;
   if (warm_mode_ == WarmMode::Off || warm_blob_.empty()) return;
-  if (!ns2_ && !ns3_) return;
   resilience::BlobReader r(warm_blob_);
   if (r.str() != warm_signature()) return;  // incompatible donor: ignore
   const auto full = r.vec<std::uint8_t>();
   const auto proj = r.vec<std::uint8_t>();
   r.expect_end();
   resilience::BlobReader br(warm_mode_ == WarmMode::State ? full : proj);
-  if (warm_mode_ == WarmMode::State) {
-    if (ns2_)
-      ns2_->load_state(br);
-    else
-      ns3_->load_state(br);
-  } else {
-    if (ns2_)
-      ns2_->load_warmstart(br);
-    else
-      ns3_->load_warmstart(br);
-  }
+  if (warm_mode_ == WarmMode::State)
+    cdc_->continuum().load_state(br);
+  else if (ns2_)
+    ns2_->load_warmstart(br);
+  else
+    ns3_->load_warmstart(br);
   br.expect_end();
   warm_applied_ = true;
 }
 
 std::vector<std::uint8_t> Runner::warm_state() const {
-  if (!ns2_ && !ns3_) return {};
+  if (!cdc_) return {};
   resilience::BlobWriter w;
   w.str(warm_signature());
   resilience::BlobWriter full, proj;
-  if (ns2_) {
-    ns2_->save_state(full);
+  cdc_->continuum().save_state(full);
+  if (ns2_)
     ns2_->save_warmstart(proj);
-  } else {
-    ns3_->save_state(full);
+  else
     ns3_->save_warmstart(proj);
-  }
   w.vec(full.data());
   w.vec(proj.data());
   return w.take();
@@ -136,34 +128,21 @@ std::vector<std::uint8_t> Runner::warm_state() const {
 
 std::size_t Runner::develop() {
   const double tol = sc_.time.develop_tol;
+  // the velocity components whose step-to-step change ends a tolerance run
+  const auto vel = ns2_ ? std::vector<const la::Vector*>{&ns2_->u(), &ns2_->v()}
+                        : std::vector<const la::Vector*>{&ns3_->u(), &ns3_->v(), &ns3_->w()};
+  std::vector<la::Vector> old(vel.size());
   std::size_t cg = 0;
-  la::Vector u_old, v_old, w_old;
   for (std::int64_t s = 0; s < sc_.time.develop_steps; ++s) {
-    if (tol > 0.0) {
-      if (ns2_) {
-        u_old = ns2_->u();
-        v_old = ns2_->v();
-      } else {
-        u_old = ns3_->u();
-        v_old = ns3_->v();
-        w_old = ns3_->w();
-      }
-    }
-    cg += ns2_ ? ns2_->step() : ns3_->step();
+    if (tol > 0.0)
+      for (std::size_t k = 0; k < vel.size(); ++k) old[k] = *vel[k];
+    cg += cdc_->continuum().step();
     ++develop_steps_;
     if (tol > 0.0) {
       double delta = 0.0;
-      const la::Vector& u = ns2_ ? ns2_->u() : ns3_->u();
-      const la::Vector& v = ns2_ ? ns2_->v() : ns3_->v();
-      for (std::size_t g = 0; g < u.size(); ++g) {
-        delta = std::max(delta, std::fabs(u[g] - u_old[g]));
-        delta = std::max(delta, std::fabs(v[g] - v_old[g]));
-      }
-      if (ns3_) {
-        const la::Vector& w = ns3_->w();
-        for (std::size_t g = 0; g < w.size(); ++g)
-          delta = std::max(delta, std::fabs(w[g] - w_old[g]));
-      }
+      for (std::size_t k = 0; k < vel.size(); ++k)
+        for (std::size_t g = 0; g < old[k].size(); ++g)
+          delta = std::max(delta, std::fabs((*vel[k])[g] - old[k][g]));
       if (delta < tol) break;
     }
   }
@@ -176,16 +155,10 @@ std::uint32_t Runner::compute_digest() const {
     net_->save_state(w);
     return resilience::crc32(w.data());
   }
-  if (ns2_)
-    ns2_->save_state(w);
-  else
-    ns3_->save_state(w);
+  cdc_->continuum().save_state(w);
   dpd_->save_state(w);
   bc_->save_state(w);
-  if (cdc_)
-    cdc_->save_state(w);
-  else
-    cdc3_->save_state(w);
+  cdc_->save_state(w);
   sampler_->save_state(w);
   return resilience::crc32(w.data());
 }
@@ -255,18 +228,6 @@ RunResult Runner::run_coupled() {
         [](double, double, double) { return 0.0; });
     ns2_->set_natural_bc(mesh::kOutlet);
   }
-  if (!restarting) {
-    apply_warm_start();
-    if (opts_.verbose) {
-      if (is3d)
-        std::printf("continuum: %zu hexahedral SEM nodes, developing...\n", sem_nodes());
-      else
-        std::printf("continuum: %zu SEM nodes, developing the flow...\n", sem_nodes());
-    }
-    res.cg_iters += develop();
-    res.develop_steps = develop_steps_;
-  }
-
   // --- 2. the atomistic solver ---
   dpd::DpdParams dp;
   dp.box = {sc_.dpd.box[0], sc_.dpd.box[1], sc_.dpd.box[2]};
@@ -280,11 +241,6 @@ RunResult Runner::run_coupled() {
   else
     geom = std::make_shared<dpd::NoWalls>();
   dpd_ = std::make_unique<dpd::DpdSystem>(dp, geom);
-  if (!restarting) {
-    dpd_->fill(sc_.dpd.density, dpd::kSolvent, static_cast<unsigned>(sc_.dpd.seed),
-               sc_.dpd.fill_margin);
-    if (opts_.verbose) std::printf("atomistic: %zu DPD particles\n\n", dpd_->size());
-  }
 
   dpd::FlowBcParams fp;
   fp.axis = static_cast<int>(sc_.flow_bc.axis);
@@ -304,13 +260,28 @@ RunResult Runner::run_coupled() {
   tp.exchange_every_ns = static_cast<int>(sc_.coupling.exchange_every_ns);
   tp.dpd_per_ns = static_cast<int>(sc_.coupling.dpd_per_ns);
   const auto& rg = sc_.coupling.region;
-  if (is3d) {
-    coupling::EmbeddedBox box{rg[0], rg[1], rg[2], rg[3], rg[4], rg[5]};
-    cdc3_ = std::make_unique<coupling::ContinuumDpdCoupler3D>(*ns3_, *dpd_, *bc_, box, scales_,
-                                                              tp);
-  } else {
+  if (is3d)
+    cdc_ = std::make_unique<coupling::ContinuumDpdCoupler>(
+        *ns3_, *dpd_, *bc_, coupling::EmbeddedBox{rg[0], rg[1], rg[2], rg[3], rg[4], rg[5]},
+        scales_, tp);
+  else
     cdc_ = std::make_unique<coupling::ContinuumDpdCoupler>(
         *ns2_, *dpd_, *bc_, coupling::EmbeddedRegion{rg[0], rg[1], rg[2], rg[3]}, scales_, tp);
+
+  // --- 4. a fresh run develops the continuum, then fills the box (the
+  // solvers are independent until the first exchange)
+  if (!restarting) {
+    apply_warm_start();
+    if (opts_.verbose) {
+      if (is3d)
+        std::printf("continuum: %zu hexahedral SEM nodes, developing...\n", sem_nodes());
+      else
+        std::printf("continuum: %zu SEM nodes, developing the flow...\n", sem_nodes());
+    }
+    res.cg_iters += develop();
+    dpd_->fill(sc_.dpd.density, dpd::kSolvent, static_cast<unsigned>(sc_.dpd.seed),
+               sc_.dpd.fill_margin);
+    if (opts_.verbose) std::printf("atomistic: %zu DPD particles\n\n", dpd_->size());
   }
 
   dpd::SamplerParams sp;
@@ -320,16 +291,10 @@ RunResult Runner::run_coupled() {
   sampler_ = std::make_unique<dpd::FieldSampler>(*dpd_, sp);
 
   coord_ = std::make_unique<resilience::CheckpointCoordinator>();
-  if (is3d)
-    coord_->add("ns3d", *ns3_);
-  else
-    coord_->add("ns2d", *ns2_);
+  coord_->add(is3d ? "ns3d" : "ns2d", cdc_->continuum());
   coord_->add("dpd", *dpd_);
   coord_->add("flowbc", *bc_);
-  if (is3d)
-    coord_->add("cdc3d", *cdc3_);
-  else
-    coord_->add("cdc", *cdc_);
+  coord_->add(is3d ? "cdc3d" : "cdc", *cdc_);
   coord_->add("sampler", *sampler_);
 
   std::int64_t start_interval = 0;
@@ -351,7 +316,7 @@ RunResult Runner::run_coupled() {
     auto cb = [&, interval] {
       if (interval >= sc_.time.sample_from) sampler_->accumulate(*dpd_);
     };
-    res.cg_iters += is3d ? cdc3_->advance_interval(cb) : cdc_->advance_interval(cb);
+    res.cg_iters += cdc_->advance_interval(cb);
     ++res.intervals_run;
     maybe_checkpoint(interval, ns2_ ? ns2_->time() : ns3_->time());
   }
@@ -433,9 +398,7 @@ std::size_t Runner::sem_nodes() const {
 }
 
 std::size_t Runner::exchanges() const {
-  if (cdc_) return cdc_->exchanges();
-  if (cdc3_) return cdc3_->exchanges();
-  return 0;
+  return cdc_ ? cdc_->exchanges() : 0;
 }
 
 double Runner::eval_u(double x, double y) const { return disc_->evaluate(ns2_->u(), x, y); }

@@ -17,11 +17,11 @@
 #include <vector>
 
 #include "coupling/cdc.hpp"
-#include "coupling/cdc3d.hpp"
 #include "nektar1d/network.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "scenario/schema.hpp"
+#include "sem/ns3d.hpp"
 
 namespace scenario {
 
@@ -136,7 +136,6 @@ class Runner {
   std::unique_ptr<dpd::DpdSystem> dpd_;
   std::unique_ptr<dpd::FlowBc> bc_;
   std::unique_ptr<coupling::ContinuumDpdCoupler> cdc_;
-  std::unique_ptr<coupling::ContinuumDpdCoupler3D> cdc3_;
   std::unique_ptr<dpd::FieldSampler> sampler_;
   std::unique_ptr<nektar1d::ArterialNetwork> net_;
   std::unique_ptr<resilience::CheckpointCoordinator> coord_;

@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 namespace sem {
 
 Discretization::Discretization(const mesh::QuadMesh& mesh, int order)
     : mesh_(mesh), P_(order), rule_(gll_rule(order)), D_(gll_diff_matrix(rule_)) {
-  if (order < 1) throw std::invalid_argument("Discretization: order must be >= 1");
+  if (order < 1 || order >= static_cast<int>(kMaxGllPoints))
+    throw std::invalid_argument("Discretization: order must be in [1, " +
+                                std::to_string(kMaxGllPoints - 1) + "]");
   const std::size_t npe = nodes_per_element();
   elem_map_.assign(mesh_.num_cells() * npe, 0);
 
@@ -95,21 +98,27 @@ long Discretization::locate(double x, double y) const {
                                             static_cast<std::size_t>(j)));
 }
 
-double Discretization::evaluate(const la::Vector& field, double x, double y) const {
+Discretization::PointBasis Discretization::point_basis(double x, double y) const {
   const long e = locate(x, y);
   if (e < 0) throw std::out_of_range("Discretization::evaluate: point outside domain");
   const auto [ox, oy] = mesh_.cell_origin(static_cast<std::size_t>(e));
   const double xi = 2.0 * (x - ox) / mesh_.dx() - 1.0;
   const double eta = 2.0 * (y - oy) / mesh_.dy() - 1.0;
-  const la::Vector lx = lagrange_basis_at(rule_, std::clamp(xi, -1.0, 1.0));
-  const la::Vector ly = lagrange_basis_at(rule_, std::clamp(eta, -1.0, 1.0));
+  PointBasis pb;
+  pb.e = static_cast<std::size_t>(e);
+  lagrange_basis_fill(rule_, std::clamp(xi, -1.0, 1.0), pb.lx.data());
+  lagrange_basis_fill(rule_, std::clamp(eta, -1.0, 1.0), pb.ly.data());
+  return pb;
+}
+
+double Discretization::evaluate(const la::Vector& field, const PointBasis& pb) const {
+  const std::size_t* map = elem_map(pb.e);
+  const auto n1 = static_cast<std::size_t>(P_ + 1);
   double s = 0.0;
-  for (int b = 0; b <= P_; ++b) {
+  for (std::size_t b = 0; b < n1; ++b) {
     double row = 0.0;
-    for (int a = 0; a <= P_; ++a)
-      row += lx[static_cast<std::size_t>(a)] *
-             field[global_node(static_cast<std::size_t>(e), a, b)];
-    s += ly[static_cast<std::size_t>(b)] * row;
+    for (std::size_t a = 0; a < n1; ++a) row += pb.lx[a] * field[map[b * n1 + a]];
+    s += pb.ly[b] * row;
   }
   return s;
 }

@@ -5,6 +5,7 @@
 // evaluation of fields (used to interpolate velocity onto coupling
 // interfaces, paper Sec. 3.3).
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <vector>
@@ -62,9 +63,21 @@ public:
   /// Element containing (x, y), or -1 if outside the mesh/mask.
   long locate(double x, double y) const;
 
-  /// Evaluate a field at (x, y) by tensor-product Lagrange interpolation in
-  /// the containing element. Throws if (x, y) is outside the domain.
-  double evaluate(const la::Vector& field, double x, double y) const;
+  /// A located point: its element and the 1D Lagrange bases at its
+  /// reference coordinates, built once for any number of fields.
+  struct PointBasis {
+    std::size_t e = 0;
+    std::array<double, kMaxGllPoints> lx, ly;
+  };
+  /// Throws if (x, y) is outside the domain.
+  PointBasis point_basis(double x, double y) const;
+
+  /// Tensor-product Lagrange interpolation of a field in the located element.
+  double evaluate(const la::Vector& field, const PointBasis& pb) const;
+  /// Evaluate a field at (x, y). Throws if (x, y) is outside the domain.
+  double evaluate(const la::Vector& field, double x, double y) const {
+    return evaluate(field, point_basis(x, y));
+  }
 
   /// Interpolate a field onto each element's GLL grid (gather): out has
   /// nodes_per_element() entries, (b*(P+1)+a) layout.

@@ -1,5 +1,6 @@
 #include "sem/gll.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -57,6 +58,16 @@ GllRule gll_rule(int P) {
     const double L = legendre(P, r.nodes[i]);
     r.weights[i] = 2.0 / (P * (P + 1.0) * L * L);
   }
+
+  // Barycentric weights for Lagrange evaluation; with GLL nodes
+  // w_k ~ (-1)^k delta_k.
+  r.bary.resize(n);
+  for (int k = 0; k < n; ++k) {
+    double prod = 1.0;
+    for (int m = 0; m < n; ++m)
+      if (m != k) prod *= (r.nodes[k] - r.nodes[m]);
+    r.bary[k] = 1.0 / prod;
+  }
   return r;
 }
 
@@ -78,27 +89,24 @@ la::DenseMatrix gll_diff_matrix(const GllRule& rule) {
   return D;
 }
 
-la::Vector lagrange_basis_at(const GllRule& rule, double x) {
+void lagrange_basis_fill(const GllRule& rule, double x, double* out) {
   const std::size_t n = rule.nodes.size();
-  la::Vector v(n);
   // If x coincides with a node, the basis is a Kronecker delta.
   for (std::size_t k = 0; k < n; ++k) {
     if (std::fabs(x - rule.nodes[k]) < 1e-14) {
-      v[k] = 1.0;
-      return v;
+      std::fill(out, out + n, 0.0);
+      out[k] = 1.0;
+      return;
     }
   }
-  // Barycentric form with GLL weights w_k ~ (-1)^k delta_k.
-  la::Vector bw(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    double prod = 1.0;
-    for (std::size_t m = 0; m < n; ++m)
-      if (m != k) prod *= (rule.nodes[k] - rule.nodes[m]);
-    bw[k] = 1.0 / prod;
-  }
   double denom = 0.0;
-  for (std::size_t k = 0; k < n; ++k) denom += bw[k] / (x - rule.nodes[k]);
-  for (std::size_t k = 0; k < n; ++k) v[k] = (bw[k] / (x - rule.nodes[k])) / denom;
+  for (std::size_t k = 0; k < n; ++k) denom += rule.bary[k] / (x - rule.nodes[k]);
+  for (std::size_t k = 0; k < n; ++k) out[k] = (rule.bary[k] / (x - rule.nodes[k])) / denom;
+}
+
+la::Vector lagrange_basis_at(const GllRule& rule, double x) {
+  la::Vector v(rule.nodes.size());
+  lagrange_basis_fill(rule, x, v.data());
   return v;
 }
 

@@ -20,8 +20,13 @@ double legendre_deriv(int n, double x);
 struct GllRule {
   la::Vector nodes;    ///< size P+1, ascending, nodes[0] = -1, nodes[P] = 1
   la::Vector weights;  ///< size P+1
+  la::Vector bary;     ///< barycentric weights 1 / prod_{m != k} (x_k - x_m)
 };
 GllRule gll_rule(int P);
+
+/// Most GLL points a point evaluation holds in fixed scratch: the
+/// discretizations accept orders up to kMaxGllPoints - 1.
+inline constexpr std::size_t kMaxGllPoints = 32;
 
 /// Collocation derivative matrix D: (du/dx)(x_i) = sum_j D(i,j) u(x_j) for a
 /// degree-P polynomial sampled at the GLL nodes.
@@ -30,6 +35,8 @@ la::DenseMatrix gll_diff_matrix(const GllRule& rule);
 /// Values of the P+1 Lagrange cardinal polynomials (through the GLL nodes)
 /// at point x in [-1, 1]; row k of the result interpolates node k.
 la::Vector lagrange_basis_at(const GllRule& rule, double x);
+/// The same values written to out[0..P], without allocating.
+void lagrange_basis_fill(const GllRule& rule, double x, double* out);
 
 /// Interpolation matrix from GLL nodes to an arbitrary set of target points.
 la::DenseMatrix interpolation_matrix(const GllRule& rule, const la::Vector& targets);

@@ -15,7 +15,8 @@ Discretization3D::Discretization3D(double Lx, double Ly, double Lz, std::size_t 
                                    std::size_t ny, std::size_t nz, int order)
     : Lx_(Lx), Ly_(Ly), Lz_(Lz), nx_(nx), ny_(ny), nz_(nz), P_(order),
       rule_(gll_rule(order)), D_(gll_diff_matrix(rule_)) {
-  if (nx == 0 || ny == 0 || nz == 0 || Lx <= 0 || Ly <= 0 || Lz <= 0 || order < 1)
+  if (nx == 0 || ny == 0 || nz == 0 || Lx <= 0 || Ly <= 0 || Lz <= 0 || order < 1 ||
+      order >= static_cast<int>(kMaxGllPoints))
     throw std::invalid_argument("Discretization3D: bad arguments");
   const auto P = static_cast<std::size_t>(order);
   lat_nx_ = nx * P + 1;
@@ -85,7 +86,7 @@ double Discretization3D::node_z(std::size_t g) const {
   return lattice_coord(g / (lat_nx_ * lat_ny_), P_, dz(), rule_, nz_);
 }
 
-double Discretization3D::evaluate(const la::Vector& field, double x, double y, double z) const {
+Discretization3D::PointBasis Discretization3D::point_basis(double x, double y, double z) const {
   auto clamp_elem = [](double v, double h, std::size_t n) {
     auto e = static_cast<long>(std::floor(v / h));
     return static_cast<std::size_t>(std::clamp<long>(e, 0, static_cast<long>(n) - 1));
@@ -96,23 +97,29 @@ double Discretization3D::evaluate(const la::Vector& field, double x, double y, d
   const std::size_t i = clamp_elem(x, dx(), nx_);
   const std::size_t j = clamp_elem(y, dy(), ny_);
   const std::size_t k = clamp_elem(z, dz(), nz_);
-  const std::size_t e = (k * ny_ + j) * nx_ + i;
   auto ref = [](double v, double h, std::size_t idx) {
     return std::clamp(2.0 * (v - static_cast<double>(idx) * h) / h - 1.0, -1.0, 1.0);
   };
-  const la::Vector lx = lagrange_basis_at(rule_, ref(x, dx(), i));
-  const la::Vector ly = lagrange_basis_at(rule_, ref(y, dy(), j));
-  const la::Vector lz = lagrange_basis_at(rule_, ref(z, dz(), k));
+  PointBasis pb;
+  pb.e = (k * ny_ + j) * nx_ + i;
+  lagrange_basis_fill(rule_, ref(x, dx(), i), pb.lx.data());
+  lagrange_basis_fill(rule_, ref(y, dy(), j), pb.ly.data());
+  lagrange_basis_fill(rule_, ref(z, dz(), k), pb.lz.data());
+  return pb;
+}
+
+double Discretization3D::evaluate(const la::Vector& field, const PointBasis& pb) const {
+  const std::size_t* map = elem_map(pb.e);
+  const auto n1 = static_cast<std::size_t>(P_ + 1);
   double s = 0.0;
-  for (int c = 0; c <= P_; ++c) {
+  for (std::size_t c = 0; c < n1; ++c) {
     double sc = 0.0;
-    for (int b = 0; b <= P_; ++b) {
+    for (std::size_t b = 0; b < n1; ++b) {
       double sb = 0.0;
-      for (int a = 0; a <= P_; ++a)
-        sb += lx[static_cast<std::size_t>(a)] * field[global_node(e, a, b, c)];
-      sc += ly[static_cast<std::size_t>(b)] * sb;
+      for (std::size_t a = 0; a < n1; ++a) sb += pb.lx[a] * field[map[(c * n1 + b) * n1 + a]];
+      sc += pb.ly[b] * sb;
     }
-    s += lz[static_cast<std::size_t>(c)] * sc;
+    s += pb.lz[c] * sc;
   }
   return s;
 }

@@ -80,8 +80,21 @@ public:
     return faces_[static_cast<std::size_t>(f)];
   }
 
+  /// A located point: its element and the 1D Lagrange bases at its
+  /// reference coordinates, built once for any number of fields.
+  struct PointBasis {
+    std::size_t e = 0;
+    std::array<double, kMaxGllPoints> lx, ly, lz;
+  };
+  /// Throws if (x, y, z) is outside the box.
+  PointBasis point_basis(double x, double y, double z) const;
+
+  /// Tensor-product Lagrange interpolation of a field in the located element.
+  double evaluate(const la::Vector& field, const PointBasis& pb) const;
   /// Tensor-product Lagrange evaluation of a nodal field at (x, y, z).
-  double evaluate(const la::Vector& field, double x, double y, double z) const;
+  double evaluate(const la::Vector& field, double x, double y, double z) const {
+    return evaluate(field, point_basis(x, y, z));
+  }
 
   void gather(const la::Vector& field, std::size_t e, double* local) const;
   void scatter_add(const double* local, std::size_t e, la::Vector& field) const;

@@ -6,12 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "coupling/cdc.hpp"
 #include "coupling/mci.hpp"
 #include "coupling/multipatch.hpp"
 #include "coupling/replica.hpp"
 #include "coupling/scales.hpp"
+#include "resilience/blob.hpp"
+#include "telemetry/registry.hpp"
 
 namespace {
 
@@ -396,6 +400,153 @@ TEST(Cdc, DpdFlowTracksContinuum) {
   EXPECT_LT(mism, 1.0);
 }
 
+// A continuum that only counts: checks the Fig. 5 schedule without SEM.
+class CountingContinuum final : public coupling::Continuum {
+public:
+  static constexpr double kU = 0.4, kV = -0.1, kW = 0.2;  ///< continuum units
+
+  explicit CountingContinuum(const std::size_t* callbacks) : callbacks_(callbacks) {}
+  std::size_t step() override {
+    steps_at.push_back(*callbacks_);
+    return 3 + steps_at.size();  // 4, 5, 6, ... CG iterations
+  }
+  dpd::Vec3 velocity_at(const dpd::Vec3& frac) const override {
+    ++queries;
+    last_frac = frac;
+    return {kU, kV, kW};
+  }
+  void save_state(resilience::BlobWriter&) const override {}
+  void load_state(resilience::BlobReader&) override {}
+
+  std::vector<std::size_t> steps_at;  ///< per-DPD-step callbacks seen before each step
+  mutable std::size_t queries = 0;
+  mutable dpd::Vec3 last_frac{};
+
+private:
+  const std::size_t* callbacks_;
+};
+
+TEST(Cdc, ScheduleRunsOverAnyContinuum) {
+  dpd::DpdParams dp;
+  dp.box = {8.0, 4.0, 6.0};
+  dp.periodic = {false, true, true};
+  dp.dt = 0.01;
+  dpd::DpdSystem sys(dp, std::make_shared<dpd::NoWalls>());
+  sys.fill(3.0, dpd::kSolvent, 5);
+  dpd::FlowBcParams fp;
+  fp.axis = 0;
+  fp.buffer_len = 2.0;
+  fp.relax = 1.0;  // the buffer takes the imposed velocity outright
+  dpd::FlowBc bc(fp);
+
+  coupling::ScaleMap scales;
+  scales.L_ns = 1.0;
+  scales.L_dpd = 4.0;
+  scales.nu_ns = 0.1;
+  scales.nu_dpd = 0.8;  // v_dpd = 2 v_ns
+  coupling::TimeProgression tp;
+  tp.exchange_every_ns = 3;
+  tp.dpd_per_ns = 4;
+
+  std::size_t callbacks = 0;
+  auto owned = std::make_unique<CountingContinuum>(&callbacks);
+  CountingContinuum& fake = *owned;
+  coupling::ContinuumDpdCoupler cdc(std::move(owned), sys, bc, scales, tp);
+  const dpd::Vec3 want{scales.velocity_ns_to_dpd(CountingContinuum::kU),
+                       scales.velocity_ns_to_dpd(CountingContinuum::kV),
+                       scales.velocity_ns_to_dpd(CountingContinuum::kW)};
+
+  std::size_t relaxed_to_target = 0;
+  const std::size_t cg = cdc.advance_interval([&] {
+    ++callbacks;
+    for (std::size_t i = 0; i < sys.size(); ++i) {
+      const dpd::Vec3 v = sys.velocities()[i];
+      if (sys.positions()[i].x <= fp.buffer_len && std::fabs(v.x - want.x) < 1e-12 &&
+          std::fabs(v.y - want.y) < 1e-12 && std::fabs(v.z - want.z) < 1e-12)
+        ++relaxed_to_target;
+    }
+  });
+
+  // exchange_every_ns continuum steps, dpd_per_ns DPD steps between them
+  EXPECT_EQ(fake.steps_at, (std::vector<std::size_t>{0, 4, 8}));
+  EXPECT_EQ(callbacks, 12u);
+  EXPECT_EQ(cg, 4u + 5u + 6u);
+  EXPECT_EQ(cdc.exchanges(), 1u);
+  // the FlowBc target is the fake's velocity, scaled by Eq. (1)
+  EXPECT_GT(fake.queries, 0u);
+  EXPECT_GT(relaxed_to_target, 0u);
+  const dpd::Vec3 at = cdc.continuum_velocity_at({2.0, 1.0, 3.0});
+  EXPECT_EQ(fake.last_frac.x, 0.25);
+  EXPECT_EQ(fake.last_frac.y, 0.25);
+  EXPECT_EQ(fake.last_frac.z, 0.5);
+  EXPECT_EQ(at.x, want.x);
+  EXPECT_EQ(at.y, want.y);
+  EXPECT_EQ(at.z, want.z);
+
+  // interface_mismatch compares the samples with the fake's velocity
+  dpd::SamplerParams sp;
+  sp.nx = 4;
+  sp.ny = 1;
+  sp.nz = 3;
+  dpd::FieldSampler sampler(sys, sp), reference(sys, sp);
+  sampler.accumulate(sys);
+  reference.accumulate(sys);
+  const auto snap = reference.snapshot();
+  double acc = 0.0;
+  for (std::size_t b = 0; b < snap.size(); ++b) acc += std::fabs(snap[b] - want.x);
+  EXPECT_DOUBLE_EQ(cdc.interface_mismatch(sampler), acc / static_cast<double>(snap.size()));
+}
+
+TEST(Cdc, PhaseTreeNamesTheSchedule) {
+  auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
+  sem::Discretization d(m, 3);
+  sem::NavierStokes2D::Params nsp;
+  nsp.nu = 0.05;
+  nsp.dt = 2e-3;
+  sem::NavierStokes2D ns(d, nsp);
+  ns.set_velocity_bc(mesh::kInlet,
+                     [](double, double y, double) { return 4.0 * y * (1.0 - y); },
+                     [](double, double, double) { return 0.0; });
+  ns.set_natural_bc(mesh::kOutlet);
+
+  dpd::DpdParams dp;
+  dp.box = {8.0, 4.0, 6.0};
+  dp.periodic = {false, true, false};
+  dp.dt = 0.01;
+  dpd::DpdSystem sys(dp, std::make_shared<dpd::ChannelZ>(6.0));
+  sys.fill(3.0, dpd::kSolvent, 9, 0.1);
+  dpd::FlowBcParams fp;
+  fp.axis = 0;
+  dpd::FlowBc bc(fp);
+  dpd::BufferZones zones;
+  dpd::BufferWindow w;
+  w.name = "Gamma_I1";
+  w.lo = {6.0, 0.0, 0.0};
+  w.hi = {8.0, 4.0, 6.0};
+  zones.add_window(w);
+
+  coupling::ScaleMap scales;
+  scales.L_dpd = 6.0;
+  coupling::TimeProgression tp;
+  tp.exchange_every_ns = 2;
+  tp.dpd_per_ns = 3;
+  coupling::ContinuumDpdCoupler cdc(ns, sys, bc, {0.5, 1.5, 0.0, 1.0}, scales, tp);
+  cdc.set_buffer_zones(&zones);
+
+  telemetry::set_enabled(true);
+  telemetry::Registry::reset_all();
+  cdc.advance_interval([] {});
+  const auto root = telemetry::Registry::local().phases();
+  const std::pair<const char*, std::uint64_t> expected[] = {
+      {"coupling.exchange", 1}, {"ns2d.step", 2},     {"dpd.step", 6},
+      {"flowbc.apply", 6},      {"buffers.apply", 6}, {"coupling.per_step", 6}};
+  for (const auto& [name, count] : expected) {
+    const auto* node = root.find(name);
+    ASSERT_NE(node, nullptr) << name;
+    EXPECT_EQ(node->count, count) << name;
+  }
+}
+
 }  // namespace
 
 #include "coupling/triple.hpp"
@@ -643,6 +794,16 @@ TEST(Cdc, RejectsDegenerateRegion) {
   EXPECT_THROW(coupling::ContinuumDpdCoupler(ns, sys, bc, flat_x, scales, tp),
                std::invalid_argument);
   EXPECT_THROW(coupling::ContinuumDpdCoupler(ns, sys, bc, inverted_y, scales, tp),
+               std::invalid_argument);
+
+  // the 3D patch validates every axis the same way
+  sem::Discretization3D d3(1.0, 1.0, 1.0, 1, 1, 1, 2);
+  sem::NavierStokes3D ns3(d3, sem::NavierStokes3D::Params{});
+  coupling::EmbeddedBox flat_z{0.0, 1.0, 0.0, 1.0, 0.5, 0.5};      // z1 == z0
+  coupling::EmbeddedBox inverted_x{0.75, 0.25, 0.0, 1.0, 0.0, 1.0};  // x1 < x0
+  EXPECT_THROW(coupling::ContinuumDpdCoupler3D(ns3, sys, bc, flat_z, scales, tp),
+               std::invalid_argument);
+  EXPECT_THROW(coupling::ContinuumDpdCoupler3D(ns3, sys, bc, inverted_x, scales, tp),
                std::invalid_argument);
 }
 

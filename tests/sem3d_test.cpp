@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "sem/hex3d.hpp"
 
@@ -53,6 +56,47 @@ TEST(Disc3d, EvaluateReproducesSmoothField) {
     for (double y : {0.21, 0.77})
       for (double z : {0.05, 0.63})
         EXPECT_NEAR(d.evaluate(f, x, y, z), fn(x, y, z), 2e-5);
+}
+
+TEST(Disc3d, PointBasisKeepsTheLagrangeContractionBitwise) {
+  // A located point's bases serve every field and sum in the order of the
+  // per-call lagrange_basis_at contraction below, on which the coupled-run
+  // digests depend. Points on element faces and box corners included.
+  sem::Discretization3D d(1.0, 2.0, 1.0, 2, 3, 2, 5);
+  la::Vector f(d.num_nodes());
+  for (std::size_t g = 0; g < d.num_nodes(); ++g)
+    f[g] = std::sin(3.0 * d.node_x(g) + d.node_y(g)) * std::exp(d.node_z(g));
+  const int P = d.order();
+  auto ref = [](double v, double h, std::size_t idx) {
+    return std::clamp(2.0 * (v - static_cast<double>(idx) * h) / h - 1.0, -1.0, 1.0);
+  };
+  std::vector<std::array<double, 3>> points = {{0.5, 1.0, 0.5}, {1.0, 2.0, 1.0}, {0.0, 0.0, 0.0}};
+  for (int q = 1; q <= 40; ++q)  // interior points spread over every element
+    points.push_back({std::fmod(0.37 * q, 1.0), std::fmod(0.83 * q, 2.0), std::fmod(0.59 * q, 1.0)});
+  for (const auto& p : points) {
+    const auto pb = d.point_basis(p[0], p[1], p[2]);
+    const std::size_t i = pb.e % 2, j = (pb.e / 2) % 3, k = pb.e / 6;
+    const la::Vector lx = sem::lagrange_basis_at(d.rule(), ref(p[0], d.dx(), i));
+    const la::Vector ly = sem::lagrange_basis_at(d.rule(), ref(p[1], d.dy(), j));
+    const la::Vector lz = sem::lagrange_basis_at(d.rule(), ref(p[2], d.dz(), k));
+    double s = 0.0;
+    for (int c = 0; c <= P; ++c) {
+      double sc = 0.0;
+      for (int b = 0; b <= P; ++b) {
+        double sb = 0.0;
+        for (int a = 0; a <= P; ++a)
+          sb += lx[static_cast<std::size_t>(a)] * f[d.global_node(pb.e, a, b, c)];
+        sc += ly[static_cast<std::size_t>(b)] * sb;
+      }
+      s += lz[static_cast<std::size_t>(c)] * sc;
+    }
+    EXPECT_EQ(d.evaluate(f, pb), s);
+    EXPECT_EQ(d.evaluate(f, p[0], p[1], p[2]), s);
+  }
+  // fixed scratch bounds the order
+  EXPECT_NO_THROW(sem::Discretization3D(1.0, 1.0, 1.0, 1, 1, 1, sem::kMaxGllPoints - 1));
+  EXPECT_THROW(sem::Discretization3D(1.0, 1.0, 1.0, 1, 1, 1, sem::kMaxGllPoints),
+               std::invalid_argument);
 }
 
 TEST(Ops3d, MassSumsToVolume) {

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <utility>
+#include <vector>
 
 #include "sem/discretization.hpp"
 #include "sem/gll.hpp"
@@ -149,6 +152,36 @@ TEST(Disc, EvaluateReproducesField) {
   for (double x : {0.1, 0.77, 1.5, 1.99})
     for (double y : {0.05, 0.51, 0.93})
       EXPECT_NEAR(d.evaluate(f, x, y), fn(x, y), 2e-6);
+}
+
+TEST(Disc, PointBasisKeepsTheLagrangeContractionBitwise) {
+  // 2D counterpart of Disc3d.PointBasisKeepsTheLagrangeContractionBitwise.
+  auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
+  sem::Discretization d(m, 6);
+  la::Vector f(d.num_nodes());
+  for (std::size_t g = 0; g < d.num_nodes(); ++g) f[g] = std::sin(d.node_x(g)) * d.node_y(g);
+  const int P = d.order();
+  std::vector<std::pair<double, double>> points = {{1.0, 0.5}, {2.0, 1.0}, {0.0, 0.0}};
+  for (int q = 1; q <= 40; ++q)  // interior points spread over every element
+    points.emplace_back(std::fmod(0.37 * q, 2.0), std::fmod(0.59 * q, 1.0));
+  for (const auto& [x, y] : points) {
+    const auto pb = d.point_basis(x, y);
+    const auto [ox, oy] = m.cell_origin(pb.e);
+    const la::Vector lx =
+        sem::lagrange_basis_at(d.rule(), std::clamp(2.0 * (x - ox) / m.dx() - 1.0, -1.0, 1.0));
+    const la::Vector ly =
+        sem::lagrange_basis_at(d.rule(), std::clamp(2.0 * (y - oy) / m.dy() - 1.0, -1.0, 1.0));
+    double s = 0.0;
+    for (int b = 0; b <= P; ++b) {
+      double row = 0.0;
+      for (int a = 0; a <= P; ++a)
+        row += lx[static_cast<std::size_t>(a)] * f[d.global_node(pb.e, a, b)];
+      s += ly[static_cast<std::size_t>(b)] * row;
+    }
+    EXPECT_EQ(d.evaluate(f, pb), s);
+    EXPECT_EQ(d.evaluate(f, x, y), s);
+  }
+  EXPECT_THROW(sem::Discretization(m, sem::kMaxGllPoints), std::invalid_argument);
 }
 
 TEST(Disc, EvaluateOutsideThrows) {

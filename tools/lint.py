@@ -30,12 +30,15 @@ dpd-no-std-function
 
 sem-hot-alloc
     Inside `apply_*` / `elem_*` function bodies under src/sem/, constructing
-    a `std::vector` is a per-apply heap allocation in the operator hot path
-    (the SEM fast path hoists all element scratch into persistent members;
-    see docs/PERF.md). Lines must carry a `// lint: sem-alloc-ok (<reason>)`
-    marker (on the line or the 2 lines above) to opt out — used by the
-    retained `_reference` baselines, which deliberately keep the per-call
-    scratch they are benchmarked against.
+    a `std::vector` or an `la::Vector` is a per-apply heap allocation in the
+    operator hot path (the SEM fast path hoists all element scratch into
+    persistent members; see docs/PERF.md). The point evaluation
+    (`evaluate`, `point_basis`, `lagrange_basis_fill`), which the
+    continuum-DPD coupler runs for every particle in the flux-BC buffer, is
+    gated the same way: its bases live in fixed scratch. Lines must carry a
+    `// lint: sem-alloc-ok (<reason>)` marker (on the line or the 2 lines
+    above) to opt out — used by the retained `_reference` baselines, which
+    deliberately keep the per-call scratch they are benchmarked against.
 
 exchange-hot-alloc
     Inside the halo/migration fast-path bodies under src/dpd/exchange/
@@ -114,6 +117,7 @@ NO_TRACE_RE = re.compile(r"//\s*lint:\s*no-trace")
 STD_FUNCTION_RE = re.compile(r"\bstd\s*::\s*function\s*<")
 STD_FUNCTION_OK_RE = re.compile(r"//\s*lint:\s*std-function-ok")
 STD_VECTOR_CTOR_RE = re.compile(r"\bstd\s*::\s*vector\s*<")
+LA_VECTOR_CTOR_RE = re.compile(r"\bla\s*::\s*Vector\s*[\w({]")
 THREAD_IDENTITY_RE = re.compile(r"\bthread_local\b|\bstd\s*::\s*this_thread\s*::\s*get_id\b")
 SCHED_CONTEXT_OK_RE = re.compile(r"//\s*lint:\s*sched-context-ok")
 SCHEMA_FN_RE = re.compile(r"\b(parse|serialize)_(\w+)\s*\(")
@@ -128,8 +132,8 @@ def _hot_fn_re(names: str) -> re.Pattern:
 # (path prefix, hot-function regex, opt-out marker, rule id, hot-path name
 # for the message)
 HOT_ALLOC_RULES = [
-    ("src/sem/", _hot_fn_re(r"(?:apply_|elem_)\w*"), "sem-alloc-ok", "sem-hot-alloc",
-     "an apply_*/elem_* SEM operator"),
+    ("src/sem/", _hot_fn_re(r"(?:apply_|elem_)\w*|evaluate|point_basis|lagrange_basis_fill"),
+     "sem-alloc-ok", "sem-hot-alloc", "an apply_*/elem_* SEM operator or a point evaluation"),
     ("src/dpd/exchange/", _hot_fn_re(r"update|pack_\w+|unpack_\w+"), "exchange-alloc-ok",
      "exchange-hot-alloc", "a halo update/pack_*/unpack_*"),
     ("src/dpd/neighbor.",
@@ -195,11 +199,14 @@ def is_declaration(line: str, name_start: int) -> bool:
 
 
 def vector_ctor_on_line(line: str) -> bool:
-    """True if the line mentions `std::vector<...>` as a *construction* — a
-    value declaration or temporary that allocates — rather than a reference
-    or pointer type mention (`std::vector<T>&` parameters, `std::vector<T>*`
-    lane tables), which allocates nothing. Template args that spill onto the
-    next line are treated as a construction (conservative)."""
+    """True if the line mentions `std::vector<...>` or `la::Vector` as a
+    *construction* — a value declaration or temporary that allocates — rather
+    than a reference or pointer type mention (`std::vector<T>&` parameters,
+    `std::vector<T>*` lane tables, `const la::Vector& field`), which
+    allocates nothing. Template args that spill onto the next line are
+    treated as a construction (conservative)."""
+    if LA_VECTOR_CTOR_RE.search(line):
+        return True
     for m in STD_VECTOR_CTOR_RE.finditer(line):
         depth = 1
         j = m.end()
@@ -371,7 +378,7 @@ def lint_file(path: pathlib.Path, repo_root: pathlib.Path) -> list[Finding]:
                         lines, i, marker_re, MARKER_BACKWINDOW):
                     findings.append(Finding(
                         rel, i + 1, rule,
-                        f"std::vector construction inside {what} hot path "
+                        f"std::vector / la::Vector construction inside {what} hot path "
                         "allocates per call; use persistent member scratch, or "
                         f"mark a deliberate case with `// lint: {marker} (<reason>)`"))
 
@@ -527,6 +534,24 @@ SELF_TEST_CASES = [
      "void Ops::apply_stiffness_reference(const V& u, V& y) const {\n"
      "  // lint: sem-alloc-ok (reference baseline, not a hot path)\n"
      "  std::vector<double> lu(npe), ly(npe);\n}\n",
+     set()),
+    # the point evaluation that built two la::Vector bases per call
+    ("src/sem/discretization.cpp",
+     "double Discretization::evaluate(const la::Vector& field, double x, double y) const {\n"
+     "  const long e = locate(x, y);\n"
+     "  const la::Vector lx = lagrange_basis_at(rule_, xi);\n"
+     "  const la::Vector ly = lagrange_basis_at(rule_, eta);\n"
+     "  return contract(lx, ly, field, e);\n}\n",
+     {"sem-hot-alloc"}),
+    # ... and the one that fills fixed scratch once per point
+    ("src/sem/discretization.cpp",
+     "Discretization::PointBasis Discretization::point_basis(double x, double y) const {\n"
+     "  PointBasis pb;\n"
+     "  lagrange_basis_fill(rule_, std::clamp(xi, -1.0, 1.0), pb.lx.data());\n"
+     "  return pb;\n}\n"
+     "double Discretization::evaluate(const la::Vector& field, const PointBasis& pb) const {\n"
+     "  const std::size_t* map = elem_map(pb.e);\n"
+     "  return contract(pb, field, map);\n}\n",
      set()),
     ("src/sem/ok_alloc_cold_fn.cpp",
      "void Ops::build_tables() {\n  std::vector<double> tmp(n);\n}\n",
