@@ -141,8 +141,8 @@ std::size_t ContinuumDpdCoupler::advance_interval(const std::function<void()>& p
   return cg_iters;
 }
 
-double ContinuumDpdCoupler::interface_mismatch(dpd::FieldSampler& sampler) const {
-  const auto snap = sampler.snapshot();
+double ContinuumDpdCoupler::interface_mismatch(const dpd::FieldSampler& sampler) const {
+  const auto snap = sampler.mean();
   double acc = 0.0;
   std::size_t cnt = 0;
   for (std::size_t b = 0; b < snap.size(); ++b) {

@@ -89,8 +89,9 @@ public:
   dpd::Vec3 continuum_velocity_at(const dpd::Vec3& p) const;
 
   /// Fig. 9 diagnostic: mean |u_DPD - u_NS| over the sampler's bins (both in
-  /// DPD units), using a window of already-accumulated samples.
-  double interface_mismatch(dpd::FieldSampler& sampler) const;
+  /// DPD units), using a window of already-accumulated samples. Reads the
+  /// window without consuming it, so it can be logged at any time.
+  double interface_mismatch(const dpd::FieldSampler& sampler) const;
 
   Continuum& continuum() { return *continuum_; }
   dpd::DpdSystem& dpd_system() { return *dpd_; }

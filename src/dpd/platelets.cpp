@@ -53,7 +53,8 @@ void PlateletModel::add_forces(DpdSystem& sys) {
   // applied in sorted gid order so the force accumulation stays
   // deterministic regardless of grid layout and of decomposition (the same
   // pair subsequence reaches an owned particle on every rank layout).
-  sys.ensure_neighbors();
+  // Modules run inside compute_forces right after pair_forces, with the
+  // positions unchanged, so the grid is the one pair_forces just ensured.
   adhesive_pairs_.clear();
   for (std::size_t a = 0; a < np; ++a) {
     if (state_[a] != PlateletState::Active && state_[a] != PlateletState::Bound) continue;

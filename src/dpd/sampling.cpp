@@ -31,10 +31,15 @@ void FieldSampler::accumulate(const DpdSystem& sys) {
   }
 }
 
-la::Vector FieldSampler::snapshot() {
+la::Vector FieldSampler::mean() const {
   la::Vector out(num_bins());
   for (std::size_t b = 0; b < num_bins(); ++b)
     out[b] = count_[b] ? sum_[b] / static_cast<double>(count_[b]) : 0.0;
+  return out;
+}
+
+la::Vector FieldSampler::snapshot() {
+  la::Vector out = mean();
   std::fill(sum_.begin(), sum_.end(), 0.0);
   std::fill(count_.begin(), count_.end(), 0);
   return out;

@@ -31,8 +31,11 @@ public:
   /// Add the current system state to the window.
   void accumulate(const DpdSystem& sys);
 
-  /// Windowed mean velocity per bin (bins never visited read 0); clears the
-  /// accumulator for the next window.
+  /// Mean velocity per bin over the current window (bins never visited
+  /// read 0); reads the window without consuming it.
+  la::Vector mean() const;
+
+  /// mean(), then clears the accumulator for the next window.
   la::Vector snapshot();
 
   /// Per-bin sample counts of the *current* accumulation window.

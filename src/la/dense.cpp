@@ -113,7 +113,7 @@ bool cholesky(DenseMatrix& A) {
 
 void cholesky_solve(const DenseMatrix& L, const Vector& b, Vector& x) {
   const std::size_t n = L.rows();
-  x.resize(n);
+  if (x.size() != n) x.resize(n);  // a sized x is reused: no allocation per solve
   for (std::size_t i = 0; i < n; ++i) {
     double s = b[i];
     for (std::size_t j = 0; j < i; ++j) s -= L(i, j) * x[j];

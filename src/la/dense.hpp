@@ -54,7 +54,8 @@ bool lu_solve(DenseMatrix A, const Vector& b, Vector& x);
 /// In-place Cholesky factorisation (lower triangle); false if not SPD.
 bool cholesky(DenseMatrix& A);
 
-/// Solve with a Cholesky factor produced by cholesky().
+/// Solve with a Cholesky factor produced by cholesky(). x is resized only
+/// when its length differs from L's, so a preconditioner can reuse it.
 void cholesky_solve(const DenseMatrix& L, const Vector& b, Vector& x);
 
 }  // namespace la

@@ -322,6 +322,40 @@ la::Vector Operators3D::helmholtz_diag(double lambda, double nu) const {
   return dg;
 }
 
+la::DenseMatrix Operators3D::coarse_vertex_matrix(double lambda, double nu) const {
+  const auto n1 = static_cast<std::size_t>(d_->order()) + 1;
+  const std::size_t npe = d_->nodes_per_element();
+  const auto& xi = d_->rule().nodes;
+  // the 8 local hats: corner q = (i, j, k) bits, 1D factors (1 -+ xi) / 2
+  auto hat = [](std::size_t bit, double t) { return 0.5 * (bit ? 1.0 + t : 1.0 - t); };
+  std::vector<double> hats(8 * npe), khat(npe);
+  for (std::size_t q = 0; q < 8; ++q)
+    for (std::size_t c = 0; c < n1; ++c)
+      for (std::size_t b = 0; b < n1; ++b)
+        for (std::size_t a = 0; a < n1; ++a)
+          hats[q * npe + (c * n1 + b) * n1 + a] =
+              hat(q & 1, xi[a]) * hat((q >> 1) & 1, xi[b]) * hat((q >> 2) & 1, xi[c]);
+  double ke[8][8];
+  for (std::size_t q = 0; q < 8; ++q) {
+    elem_helmholtz(lambda, nu, hats.data() + q * npe, khat.data());
+    for (std::size_t p = 0; p < 8; ++p)
+      ke[p][q] = la::simd::dot(hats.data() + p * npe, khat.data(), npe);
+  }
+
+  const std::size_t vx = d_->nx() + 1, vy = d_->ny() + 1, vz = d_->nz() + 1;
+  la::DenseMatrix A(vx * vy * vz, vx * vy * vz);
+  for (std::size_t k = 0; k < d_->nz(); ++k)
+    for (std::size_t j = 0; j < d_->ny(); ++j)
+      for (std::size_t i = 0; i < d_->nx(); ++i) {
+        std::size_t vert[8];
+        for (std::size_t q = 0; q < 8; ++q)
+          vert[q] = ((k + (q >> 2)) * vy + j + ((q >> 1) & 1)) * vx + i + (q & 1);
+        for (std::size_t p = 0; p < 8; ++p)
+          for (std::size_t q = 0; q < 8; ++q) A(vert[p], vert[q]) += ke[p][q];
+      }
+  return A;
+}
+
 void Operators3D::elem_derivs(const double* u, double* dx, double* dy, double* dz) const {
   const auto n1 = static_cast<std::size_t>(d_->order()) + 1;
   const auto& D = d_->diff_matrix();
@@ -452,6 +486,49 @@ double Operators3D::integral(const la::Vector& u) const {
 
 // ---------------------------------------------------------------------------
 
+namespace {
+// Largest vertex grid that gets a coarse level. A_c is dense: at the cap its
+// factor holds 2048^2 doubles (32 MB) and costs ~3 GFlop once; a larger
+// box (e.g. 16^3 elements from a scenario file) keeps plain Jacobi instead
+// of a set-up that outgrows the solve.
+constexpr std::size_t kMaxCoarseVertices = 2048;
+
+// One axis of the separable coarse transfer, on a field laid out as
+// [outer][planes][inner]: `lat` GLL lattice planes against `vert` element-
+// vertex planes. Lattice plane l lies between vertex planes v0[l] and
+// v0[l] + 1 with right-hat weight w[l], so each plane has two hat values.
+
+// out = Phi_axis^T in  (lattice -> vertices)
+void restrict_axis(const std::size_t* v0, const double* w, std::size_t lat, std::size_t vert,
+                   std::size_t outer, std::size_t inner, const double* in, double* out) {
+  std::fill(out, out + outer * vert * inner, 0.0);
+  for (std::size_t o = 0; o < outer; ++o)
+    for (std::size_t l = 0; l < lat; ++l) {
+      const double* src = in + (o * lat + l) * inner;
+      double* d0 = out + (o * vert + v0[l]) * inner;
+      double* d1 = d0 + inner;
+      const double w0 = 1.0 - w[l], w1 = w[l];
+      for (std::size_t i = 0; i < inner; ++i) {
+        d0[i] += w0 * src[i];
+        d1[i] += w1 * src[i];
+      }
+    }
+}
+
+// out = Phi_axis in  (vertices -> lattice)
+void prolong_axis(const std::size_t* v0, const double* w, std::size_t lat, std::size_t vert,
+                  std::size_t outer, std::size_t inner, const double* in, double* out) {
+  for (std::size_t o = 0; o < outer; ++o)
+    for (std::size_t l = 0; l < lat; ++l) {
+      const double* s0 = in + (o * vert + v0[l]) * inner;
+      const double* s1 = s0 + inner;
+      double* dst = out + (o * lat + l) * inner;
+      const double w0 = 1.0 - w[l], w1 = w[l];
+      for (std::size_t i = 0; i < inner; ++i) dst[i] = w0 * s0[i] + w1 * s1[i];
+    }
+}
+}  // namespace
+
 HelmholtzSolver3D::HelmholtzSolver3D(const Operators3D& ops, double lambda, double nu,
                                      std::vector<HexFace> dirichlet_faces)
     : ops_(&ops), lambda_(lambda), nu_(nu) {
@@ -463,6 +540,76 @@ HelmholtzSolver3D::HelmholtzSolver3D(const Operators3D& ops, double lambda, doub
     if (is_dirichlet_[g]) dnodes_.push_back(g);
   precond_diag_ = ops.helmholtz_diag(lambda, nu);
   for (std::size_t g : dnodes_) precond_diag_[g] = 1.0;
+  const std::size_t vertices = (d.nx() + 1) * (d.ny() + 1) * (d.nz() + 1);
+  if (lambda_ == 0.0 && vertices <= kMaxCoarseVertices) build_coarse_space();
+}
+
+void HelmholtzSolver3D::build_coarse_space() {
+  const auto& d = ops_->disc();
+  const auto P = static_cast<std::size_t>(d.order());
+  const std::array<std::size_t, 3> ne = {d.nx(), d.ny(), d.nz()};
+  for (std::size_t ax = 0; ax < 3; ++ax) {
+    lat_n_[ax] = ne[ax] * P + 1;
+    vert_n_[ax] = ne[ax] + 1;
+    plane_vertex_[ax].resize(lat_n_[ax]);
+    plane_weight_[ax].resize(lat_n_[ax]);
+    for (std::size_t l = 0; l < lat_n_[ax]; ++l) {
+      const std::size_t e = std::min(l / P, ne[ax] - 1);  // last plane: element n-1, a = P
+      plane_vertex_[ax][l] = e;
+      plane_weight_[ax][l] = 0.5 * (d.rule().nodes[l - e * P] + 1.0);
+    }
+  }
+
+  // Dirichlet faces are vertex planes; every hat left has zero trace there.
+  // With none, pin vertex 0 to remove the constant null space.
+  const std::size_t vx = vert_n_[0], vy = vert_n_[1], vz = vert_n_[2];
+  for (std::size_t k = 0; k < vz; ++k)
+    for (std::size_t j = 0; j < vy; ++j)
+      for (std::size_t i = 0; i < vx; ++i) {
+        const std::size_t v = (k * vy + j) * vx + i;
+        // a vertex is a lattice node, so the node's tag is the vertex's
+        const std::size_t g = (k * P * lat_n_[1] + j * P) * lat_n_[0] + i * P;
+        const bool dropped = pure_neumann() ? v == 0 : is_dirichlet_[g] != 0;
+        if (!dropped) coarse_dofs_.push_back(v);
+      }
+  if (coarse_dofs_.empty()) return;
+
+  const la::DenseMatrix A = ops_->coarse_vertex_matrix(lambda_, nu_);
+  const std::size_t nc = coarse_dofs_.size();
+  coarse_chol_ = la::DenseMatrix(nc, nc);
+  for (std::size_t p = 0; p < nc; ++p)
+    for (std::size_t q = 0; q < nc; ++q)
+      coarse_chol_(p, q) = A(coarse_dofs_[p], coarse_dofs_[q]);
+  if (!la::cholesky(coarse_chol_))
+    throw std::logic_error("HelmholtzSolver3D: coarse vertex matrix not SPD");
+
+  stage_a_.resize(std::max(lat_n_[1] * lat_n_[2] * vx, vy * vz * lat_n_[0]));
+  stage_b_.resize(std::max(lat_n_[2] * vy * vx, vz * lat_n_[1] * lat_n_[0]));
+  vert_.resize(vx * vy * vz);
+  coarse_rhs_.resize(nc);
+  coarse_sol_.resize(nc);
+  fine_.resize(d.num_nodes());
+}
+
+void HelmholtzSolver3D::apply_two_level(const double* r, double* z) {
+  const std::size_t n = fine_.size();
+  const auto& [lx, ly, lz] = lat_n_;
+  const auto& [vx, vy, vz] = vert_n_;
+  const auto& v0 = plane_vertex_;
+  const auto& w = plane_weight_;
+  // restriction Phi^T r: contract x, then y, then z
+  restrict_axis(v0[0].data(), w[0].data(), lx, vx, ly * lz, 1, r, stage_a_.data());
+  restrict_axis(v0[1].data(), w[1].data(), ly, vy, lz, vx, stage_a_.data(), stage_b_.data());
+  restrict_axis(v0[2].data(), w[2].data(), lz, vz, 1, vx * vy, stage_b_.data(), vert_.data());
+  for (std::size_t k = 0; k < coarse_dofs_.size(); ++k) coarse_rhs_[k] = vert_[coarse_dofs_[k]];
+  la::cholesky_solve(coarse_chol_, coarse_rhs_, coarse_sol_);
+  vert_.fill(0.0);
+  for (std::size_t k = 0; k < coarse_dofs_.size(); ++k) vert_[coarse_dofs_[k]] = coarse_sol_[k];
+  // prolongation Phi y: expand x, then y, then z
+  prolong_axis(v0[0].data(), w[0].data(), lx, vx, vy * vz, 1, vert_.data(), stage_a_.data());
+  prolong_axis(v0[1].data(), w[1].data(), ly, vy, vz, lx, stage_a_.data(), stage_b_.data());
+  prolong_axis(v0[2].data(), w[2].data(), lz, vz, 1, lx * ly, stage_b_.data(), fine_.data());
+  for (std::size_t g = 0; g < n; ++g) z[g] = r[g] / precond_diag_[g] + fine_[g];
 }
 
 la::CgResult HelmholtzSolver3D::solve(const la::Vector& f,
@@ -513,7 +660,10 @@ la::CgResult HelmholtzSolver3D::solve_with_values(const la::Vector& f,
 
   la::Vector u0(n, 0.0);
   projector_.predict(op, b, u0);
-  auto res = la::cg_solve(op, b, u0, la::jacobi_preconditioner(precond_diag_), opt_);
+  la::Preconditioner precond = la::jacobi_preconditioner(precond_diag_);
+  if (!coarse_dofs_.empty())
+    precond = [this](const double* r, double* z, std::size_t) { apply_two_level(r, z); };
+  auto res = la::cg_solve(op, b, u0, precond, opt_);
   projector_.record(op, u0);
 
   if (u.size() != n) u.resize(n);

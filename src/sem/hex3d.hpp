@@ -52,6 +52,9 @@ public:
   double dx() const { return Lx_ / static_cast<double>(nx_); }
   double dy() const { return Ly_ / static_cast<double>(ny_); }
   double dz() const { return Lz_ / static_cast<double>(nz_); }
+  std::size_t nx() const { return nx_; }
+  std::size_t ny() const { return ny_; }
+  std::size_t nz() const { return nz_; }
 
   /// Global node id of element e's local node (a, b, c). O(1) lookup in the
   /// precomputed element->global table (built once at construction; the
@@ -137,6 +140,14 @@ public:
   void apply_helmholtz(double lambda, double nu, const la::Vector& u, la::Vector& y) const;
   la::Vector helmholtz_diag(double lambda, double nu) const;
 
+  /// Galerkin coarse operator Phi^T (lambda M + nu K) Phi on the trilinear
+  /// hats of the (nx+1)(ny+1)(nz+1) element-vertex grid, vertex (I, J, K)
+  /// at index (K (ny+1) + J) (nx+1) + I. Assembled from element products:
+  /// the element kernel applied to the 8 local hats gives the 8x8 element
+  /// matrix (the same for every element of the uniform box), which is
+  /// summed into the vertex grid. Set-up only.
+  la::DenseMatrix coarse_vertex_matrix(double lambda, double nu) const;
+
   /// Nodal derivatives, mass-averaged at shared nodes (as in 2D).
   void gradient(const la::Vector& u, la::Vector& ddx, la::Vector& ddy, la::Vector& ddz) const;
   void divergence(const la::Vector& u, const la::Vector& v, const la::Vector& w,
@@ -179,6 +190,20 @@ private:
 
 /// Helmholtz/Poisson boundary-value solver in 3D (Dirichlet on selected box
 /// faces, natural elsewhere; pure-Neumann mean pinning as in 2D).
+///
+/// The Poisson operator (lambda = 0, the pressure solve) is preconditioned
+/// by two additive levels, z = D^-1 r + Phi A_c^-1 Phi^T r: the Jacobi
+/// diagonal D, plus an exact solve on the trilinear element-vertex space
+/// Phi with the Galerkin matrix A_c = Phi^T A Phi (Cholesky-factored once).
+/// Vertices on Dirichlet faces are dropped, so every kept hat vanishes on
+/// the Dirichlet nodes and Phi needs no mask; with no Dirichlet face one
+/// vertex is pinned so A_c stays SPD.
+/// The coarse level removes Jacobi-PCG's growth with the element count.
+/// lambda > 0 (the viscous solves) keeps plain Jacobi: the mass term
+/// already bounds the condition number, and the coarse term costs more
+/// than the iterations it saves. A vertex grid past 2048 vertices keeps
+/// Jacobi too: the dense A_c would cost more to build than it saves. The
+/// choice depends only on the operator and the mesh, with no option.
 class HelmholtzSolver3D {
 public:
   HelmholtzSolver3D(const Operators3D& ops, double lambda, double nu,
@@ -201,6 +226,11 @@ public:
   void load_state(resilience::BlobReader& r);
 
 private:
+  void build_coarse_space();
+  /// z = D^-1 r + Phi A_c^-1 Phi^T r, in the member scratch below (only
+  /// installed when coarse_dofs_ is non-empty).
+  void apply_two_level(const double* r, double* z);
+
   // analyze: no-checkpoint (constructor configuration, re-supplied by the driver)
   const Operators3D* ops_;
   // analyze: no-checkpoint (constructor configuration: operator coefficients)
@@ -211,6 +241,18 @@ private:
   std::vector<char> is_dirichlet_;
   // analyze: no-checkpoint (preconditioner table, precomputed from ops_)
   la::Vector precond_diag_;
+  // analyze: no-checkpoint (coarse-space tables, derived from the mesh in the constructor)
+  std::array<std::size_t, 3> lat_n_{}, vert_n_{};
+  // analyze: no-checkpoint (per lattice plane: the vertex plane to its left, from the mesh)
+  std::array<std::vector<std::size_t>, 3> plane_vertex_;
+  // analyze: no-checkpoint (per lattice plane: the right hat's value there, from the mesh)
+  std::array<std::vector<double>, 3> plane_weight_;
+  // analyze: no-checkpoint (kept coarse vertices, from the BC tags; empty = Jacobi only)
+  std::vector<std::size_t> coarse_dofs_;
+  // analyze: no-checkpoint (Cholesky factor of A_c, precomputed from ops_)
+  la::DenseMatrix coarse_chol_;
+  // analyze: no-checkpoint (transfer and coarse-solve scratch, overwritten every apply)
+  la::Vector stage_a_, stage_b_, vert_, coarse_rhs_, coarse_sol_, fine_;
   la::SolutionProjector projector_;
   // analyze: no-checkpoint (solver tolerances are configuration)
   la::CgOptions opt_;

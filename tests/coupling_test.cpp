@@ -497,6 +497,46 @@ TEST(Cdc, ScheduleRunsOverAnyContinuum) {
   EXPECT_DOUBLE_EQ(cdc.interface_mismatch(sampler), acc / static_cast<double>(snap.size()));
 }
 
+TEST(Cdc, InterfaceMismatchLeavesTheSamplerWindow) {
+  // a diagnostic read: asking twice gives the same answer, and the window
+  // the sampler would checkpoint is untouched
+  dpd::DpdParams dp;
+  dp.box = {8.0, 4.0, 6.0};
+  dp.periodic = {false, true, true};
+  dp.dt = 0.01;
+  dpd::DpdSystem sys(dp, std::make_shared<dpd::NoWalls>());
+  sys.fill(3.0, dpd::kSolvent, 5);
+  dpd::FlowBcParams fp;
+  fp.axis = 0;
+  dpd::FlowBc bc(fp);
+  std::size_t callbacks = 0;
+  coupling::ContinuumDpdCoupler cdc(std::make_unique<CountingContinuum>(&callbacks), sys, bc,
+                                    coupling::ScaleMap{}, coupling::TimeProgression{});
+  dpd::SamplerParams sp;
+  sp.nx = 4;
+  sp.ny = 2;
+  sp.nz = 3;
+  dpd::FieldSampler sampler(sys, sp);
+  for (int s = 0; s < 3; ++s) {
+    sys.step();
+    sampler.accumulate(sys);
+  }
+  resilience::BlobWriter before;
+  sampler.save_state(before);
+
+  const double first = cdc.interface_mismatch(sampler);
+  const double second = cdc.interface_mismatch(sampler);
+  EXPECT_EQ(first, second);
+  EXPECT_GT(first, 0.0);
+  resilience::BlobWriter after;
+  sampler.save_state(after);
+  EXPECT_EQ(before.data(), after.data());
+  // the consuming read still sees the same window
+  const auto mean = sampler.mean();
+  const auto snap = sampler.snapshot();
+  for (std::size_t b = 0; b < snap.size(); ++b) EXPECT_EQ(mean[b], snap[b]);
+}
+
 TEST(Cdc, PhaseTreeNamesTheSchedule) {
   auto m = mesh::QuadMesh::channel(2.0, 1.0, 4, 2);
   sem::Discretization d(m, 3);

@@ -17,6 +17,7 @@
 #include "dpd/sampling.hpp"
 #include "dpd/system.hpp"
 #include "dpd/viscometry.hpp"
+#include "telemetry/registry.hpp"
 
 namespace {
 
@@ -356,6 +357,42 @@ TEST(Platelets, AggregateGrowsOnBoundSeed) {
     model->update(sys);
   }
   EXPECT_EQ(model->count(dpd::PlateletState::Bound), 2u);
+}
+
+TEST(Platelets, OneListCheckPerForceEvaluation) {
+  // Modules see the list pair_forces just ensured: with a platelet model
+  // attached, each force evaluation still counts exactly one list check
+  // (a rebuild or a reuse).
+  telemetry::set_enabled(true);
+  auto counter = [](const char* name) {
+    const auto counters = telemetry::Registry::local().counters();
+    const auto it = counters.find(name);
+    return it == counters.end() ? 0.0 : it->second.value;
+  };
+  dpd::DpdParams prm;
+  prm.box = {6.0, 6.0, 6.0};
+  prm.periodic = {true, true, false};
+  prm.dt = 0.01;
+  dpd::DpdSystem sys(prm, std::make_shared<dpd::ChannelZ>(6.0));
+  dpd::PlateletParams pp;
+  pp.adhesive_region = [](const dpd::Vec3& p) { return p.z < 2.0; };
+  pp.activation_delay = 0.0;
+  auto model = std::make_shared<dpd::PlateletModel>(pp);
+  sys.add_module(model);
+  sys.fill(3.0, dpd::kSolvent, 31, 0.1);
+  for (double x : {1.5, 3.0, 4.5})
+    model->add_platelet(sys.add_particle({x, 3.0, 0.8}, {}, dpd::kPlatelet));
+  const double checks0 = counter("dpd.nlist.rebuild") + counter("dpd.nlist.reuse");
+  const int steps = 60;
+  for (int s = 0; s < steps; ++s) {
+    sys.step();
+    model->update(sys);
+  }
+  const auto& nl = sys.neighbor_list();
+  const std::uint64_t evaluations = steps + 1;  // the first step also evaluates at t = 0
+  EXPECT_EQ(nl.rebuilds() + nl.reuses(), evaluations);
+  EXPECT_EQ(counter("dpd.nlist.rebuild") + counter("dpd.nlist.reuse") - checks0,
+            static_cast<double>(evaluations));
 }
 
 TEST(Sampler, BinsAndCenters) {

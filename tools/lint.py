@@ -553,6 +553,19 @@ SELF_TEST_CASES = [
      "  const std::size_t* map = elem_map(pb.e);\n"
      "  return contract(pb, field, map);\n}\n",
      set()),
+    # the two-level pressure preconditioner with per-apply coarse vectors ...
+    ("src/sem/hex3d.cpp",
+     "void HelmholtzSolver3D::apply_two_level(const double* r, double* z) {\n"
+     "  la::Vector vert(nv), rhs(nc), sol(nc);\n"
+     "  restrict_axis(v0, w, lx, vx, ly * lz, 1, r, vert.data());\n"
+     "  la::cholesky_solve(coarse_chol_, rhs, sol);\n}\n",
+     {"sem-hot-alloc"}),
+    # ... and the one that runs in fixed member scratch
+    ("src/sem/hex3d.cpp",
+     "void HelmholtzSolver3D::apply_two_level(const double* r, double* z) {\n"
+     "  restrict_axis(v0, w, lx, vx, ly * lz, 1, r, stage_a_.data());\n"
+     "  la::cholesky_solve(coarse_chol_, coarse_rhs_, coarse_sol_);\n}\n",
+     set()),
     ("src/sem/ok_alloc_cold_fn.cpp",
      "void Ops::build_tables() {\n  std::vector<double> tmp(n);\n}\n",
      set()),
